@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, as_vector, as_vectors, orthonormalize
+from .linalg import DEFAULT_RANK_TOL, as_points, as_vector, orthonormalize
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
@@ -63,11 +63,10 @@ def from_span(base, spanning, tol: float = DEFAULT_RANK_TOL) -> AffineSubspace:
 
 def affine_hull(points, tol: float = DEFAULT_RANK_TOL) -> AffineSubspace:
     """Affine hull of a nonempty point set."""
-    pts = as_vectors(points)
-    if not pts:
+    P = as_points(points)
+    if not len(P):
         raise ValueError("affine hull of an empty point set")
-    base = pts[0]
-    return from_span(base, [p - base for p in pts[1:]], tol)
+    return from_span(P[0], P[1:] - P[0], tol)
 
 
 def project(V: AffineSubspace, x) -> np.ndarray:

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_PIVOT_TOL,
     DimensionMismatch,
-    NotPositiveDefinite,
+    _gram_schmidt,
+    as_points,
     as_vector,
-    as_vectors,
-    det_via_factorization,
     gram,
-    max_independent_subset,
-    solve_spd,
 )
 
 DEFAULT_DEDUP_TOL_REL = 1e-9
+_BLOCK_ENTRIES = 1 << 20
 
 
 class NotAffinelyIndependent(ValueError):
@@ -73,13 +72,50 @@ class CircumOutcome:
         return self.center is None
 
 
+def _pairwise_distances(P: np.ndarray) -> np.ndarray:
+    """(m, m) Euclidean distances between the rows of P.
+
+    Row differences are formed for a block of rows at a time, so the
+    temporary holds about _BLOCK_ENTRIES numbers whatever m and n are.
+    """
+    rows = max(1, _BLOCK_ENTRIES // max(P.size, 1))
+    out = np.empty((len(P), len(P)))
+    for i in range(0, len(P), rows):
+        D = P[i : i + rows, None] - P
+        out[i : i + rows] = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
+    return out
+
+
+def _first_distinct(dist: np.ndarray, tol: float) -> list[int]:
+    """Indices of the rows farther than tol from every earlier kept row."""
+    far = (dist > tol).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(far):
+        if all(row[j] for j in kept):
+            kept.append(i)
+    return kept
+
+
+def _distinct(P: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """Rows of P left after dedup at rank_tol * (1 + diameter).
+
+    None when a pairwise distance is not finite: the tolerance would be
+    infinite too and collapse every point onto the first.
+    """
+    dist = _pairwise_distances(P)
+    diam = dist.max()
+    if not math.isfinite(diam):
+        return None
+    return P[_first_distinct(dist, rank_tol * (1.0 + diam))]
+
+
+def _equidistant(dists: np.ndarray, tol: float) -> bool:
+    hi = dists.max()
+    return bool(hi - dists.min() <= tol * (1.0 + hi))
+
+
 def diameter(points) -> float:
-    pts = as_vectors(points)
-    d = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = max(d, float(np.linalg.norm(pts[i] - pts[j])))
-    return d
+    return float(_pairwise_distances(as_points(points)).max(initial=0.0))
 
 
 def dedup(points, tol: float | None = None) -> list[np.ndarray]:
@@ -88,41 +124,35 @@ def dedup(points, tol: float | None = None) -> list[np.ndarray]:
     Default tol is 1e-9 * (1 + diameter), so exact duplicates always
     collapse and distinct points at any scale survive.
     """
-    pts = as_vectors(points)
+    P = as_points(points)
+    dist = _pairwise_distances(P)
     if tol is None:
-        tol = DEFAULT_DEDUP_TOL_REL * (1.0 + diameter(pts))
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(float(np.linalg.norm(p - q)) > tol for q in kept):
-            kept.append(p)
-    return kept
+        tol = DEFAULT_DEDUP_TOL_REL * (1.0 + dist.max(initial=0.0))
+    return list(P[_first_distinct(dist, tol)])
 
 
 def circumcenter_gram(points, pivot_tol: float | None = None) -> np.ndarray:
-    """Circumcenter of an affinely independent tuple via the Gram system.
+    """Circumcenter of an affinely independent tuple.
 
-    With differences d_i = x_{i+1} - x_1, solves
-    G(d_1..d_{m-1}) alpha = (1/2)(||d_i||^2)_i and returns
-    x_1 + sum_i alpha_i d_i. Affine dependence surfaces as
-    NotAffinelyIndependent (the Gram matrix fails its Cholesky pivots).
+    With differences d_i = x_{i+1} - x_1, the Gram-Schmidt sweep of
+    linalg writes each d_i in an orthonormal basis and solves for the
+    point x_1 + sum_k y_k q_k equidistant from every x_i by forward
+    substitution. A difference whose residual against the earlier ones
+    has rho^2 <= pivot_tol * max |d|^2 (default DEFAULT_PIVOT_TOL)
+    surfaces as NotAffinelyIndependent.
     """
-    pts = as_vectors(points)
-    if not pts:
+    P = as_points(points)
+    if not len(P):
         raise ValueError("circumcenter of an empty tuple")
-    if len(pts) == 1:
-        return pts[0].copy()
-    base = pts[0]
-    diffs = [p - base for p in pts[1:]]
-    G = gram(diffs)
-    rhs = 0.5 * np.array([float(d @ d) for d in diffs])
-    try:
-        if pivot_tol is None:
-            alpha = solve_spd(G, rhs)
-        else:
-            alpha = solve_spd(G, rhs, pivot_tol=pivot_tol)
-    except NotPositiveDefinite as exc:
-        raise NotAffinelyIndependent(str(exc)) from exc
-    return base + np.array(diffs).T @ alpha
+    if len(P) == 1:
+        return P[0].copy()
+    tol = math.sqrt(DEFAULT_PIVOT_TOL if pivot_tol is None else pivot_tol)
+    kept, Q, _, y = _gram_schmidt(P[1:] - P[0], tol)
+    if len(kept) < len(P) - 1:
+        raise NotAffinelyIndependent(
+            f"only {len(kept)} of {len(P) - 1} differences independent at {tol:.1e}"
+        )
+    return P[0] + y @ Q
 
 
 def verify_equidistant(p, points, tol: float) -> bool:
@@ -131,45 +161,49 @@ def verify_equidistant(p, points, tol: float) -> bool:
     The spread is compared against tol * (1 + max distance).
     """
     p = as_vector(p)
-    pts = as_vectors(points)
-    if not pts:
+    P = as_points(points)
+    if not len(P):
         raise ValueError("no points to verify against")
-    if pts[0].shape != p.shape:
+    if P.shape[1] != p.shape[0]:
         raise DimensionMismatch(
-            f"point has length {p.shape[0]}, set has length {pts[0].shape[0]}"
+            f"point has length {p.shape[0]}, set has length {P.shape[1]}"
         )
-    dists = [float(np.linalg.norm(p - q)) for q in pts]
-    hi, lo = max(dists), min(dists)
-    return hi - lo <= tol * (1.0 + hi)
+    return _equidistant(np.linalg.norm(P - p, axis=1), tol)
+
+
+def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
+    """circumcenter() of a validated, nonempty (m, n) array."""
+    distinct = _distinct(P, cfg.rank_tol)
+    if distinct is None:
+        return CircumOutcome.empty()
+    if len(distinct) == 1:
+        return CircumOutcome.exists(distinct[0], 0.0)
+    D = distinct[1:] - distinct[0]
+    _, Q, rho, y = _gram_schmidt(D, cfg.rank_tol)
+    # A kept difference this close to the span of the earlier ones leaves
+    # the system too ill-conditioned to trust its solution.
+    if rho.min() ** 2 <= DEFAULT_PIVOT_TOL * np.einsum("ij,ij->i", D, D).max():
+        return CircumOutcome.empty()
+    center = distinct[0] + y @ Q
+    dists = np.linalg.norm(distinct - center, axis=1)
+    if not _equidistant(dists, cfg.verify_tol):
+        return CircumOutcome.empty()
+    return CircumOutcome.exists(center, dists.mean())
 
 
 def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     """Total circumcenter: Exists(center, radius) or Empty, never an error.
 
-    Deduplicates, reduces to a maximal affinely independent subset with
-    the same hull, solves the Gram system there, then verifies the
-    candidate against every point. Any degeneracy yields Empty.
+    Deduplicates, sweeps the differences to the first point in index
+    order, which keeps a maximal affinely independent subset with the
+    same hull and solves for its circumcenter in the same pass, then
+    verifies the candidate against every point. Any degeneracy,
+    including pairwise distances that overflow, yields Empty.
     """
-    pts = as_vectors(points)
-    if not pts:
+    P = as_points(points)
+    if not len(P):
         raise ValueError("circumcenter of an empty point set")
-    distinct = dedup(pts, cfg.rank_tol * (1.0 + diameter(pts)))
-    if len(distinct) == 1:
-        return CircumOutcome.exists(distinct[0].copy(), 0.0)
-    base = distinct[0]
-    diffs = [p - base for p in distinct[1:]]
-    kept = max_independent_subset(diffs, cfg.rank_tol)
-    subset = [base] + [distinct[i + 1] for i in kept]
-    try:
-        candidate = circumcenter_gram(subset)
-    except NotAffinelyIndependent:
-        return CircumOutcome.empty()
-    if not verify_equidistant(candidate, distinct, cfg.verify_tol):
-        return CircumOutcome.empty()
-    radius = float(
-        np.mean([np.linalg.norm(candidate - q) for q in distinct])
-    )
-    return CircumOutcome.exists(candidate, radius)
+    return _circumcenter(P, cfg)
 
 
 def circumradius(points, cfg: CircumConfig = CircumConfig()) -> float:
@@ -189,14 +223,15 @@ def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOut
 
     and three distinct collinear points are Empty. K is twice the Gram
     determinant of the differences, so K <= 0 (up to tolerance) is the
-    dependence test.
+    dependence test. Pairwise distances that overflow yield Empty.
     """
-    x, y, z = as_vectors([x, y, z])
-    distinct = dedup(
-        [x, y, z], cfg.rank_tol * (1.0 + diameter([x, y, z]))
-    )
+    P = as_points([x, y, z])
+    x, y, z = P
+    distinct = _distinct(P, cfg.rank_tol)
+    if distinct is None:
+        return CircumOutcome.empty()
     if len(distinct) == 1:
-        return CircumOutcome.exists(distinct[0].copy(), 0.0)
+        return CircumOutcome.exists(distinct[0], 0.0)
     if len(distinct) == 2:
         center = 0.5 * (distinct[0] + distinct[1])
         return CircumOutcome.exists(
@@ -219,10 +254,7 @@ def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOut
     wy = float((x - z) @ (x - z)) * float((y - z) @ (y - x))
     wz = float((x - y) @ (x - y)) * float((z - x) @ (z - y))
     center = (wx * x + wy * y + wz * z) / K
-    radius = float(
-        np.mean([np.linalg.norm(center - q) for q in (x, y, z)])
-    )
-    return CircumOutcome.exists(center, radius)
+    return CircumOutcome.exists(center, np.linalg.norm(P - center, axis=1).mean())
 
 
 def cross3(u, v) -> np.ndarray:
@@ -243,7 +275,7 @@ def cross3(u, v) -> np.ndarray:
 
 
 def _cross3_frame(x, y, z, tol: float):
-    x, y, z = as_vectors([x, y, z])
+    x, y, z = as_points([x, y, z])
     if x.shape[0] != 3:
         raise NotThreeDimensional(
             f"cross-product circumcenter needs R^3, got R^{x.shape[0]}"
@@ -292,20 +324,19 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
     points in original order), coefficient i is det(A_i) / (2 det(A))
     where A is the Gram matrix of the d_i and A_i is A with column i
     replaced by (||d_i||^2)_i. The center is then
-    points[base_index] + sum_i coeff_i d_i. Independent of the Cholesky
+    points[base_index] + sum_i coeff_i d_i. Independent of the Gram-Schmidt
     path, which makes this a cross-check route, not a fast one.
     """
-    pts = as_vectors(points)
-    m = len(pts)
+    P = as_points(points)
+    m = len(P)
     if m < 2:
         raise ValueError("need at least two points")
     if not 0 <= base_index < m:
         raise ValueError(f"base_index {base_index} out of range for {m} points")
-    base = pts[base_index]
-    diffs = [p - base for i, p in enumerate(pts) if i != base_index]
+    diffs = np.delete(P, base_index, axis=0) - P[base_index]
     A = gram(diffs)
-    a = np.array([float(d @ d) for d in diffs])
-    delta = det_via_factorization(A)
+    a = np.diag(A)
+    delta = float(np.linalg.det(A))
     if delta <= 1e-13 * max(float(np.prod(np.diag(A))), 1e-300):
         raise NotAffinelyIndependent(
             f"Gram determinant {delta:.3e} is not positive"
@@ -314,5 +345,5 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
     for i in range(m - 1):
         Ai = A.copy()
         Ai[:, i] = a
-        coeffs.append(det_via_factorization(Ai) / (2.0 * delta))
+        coeffs.append(float(np.linalg.det(Ai)) / (2.0 * delta))
     return coeffs

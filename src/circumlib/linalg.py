@@ -1,17 +1,18 @@
 """Dense linear-algebra primitives the circumcenter machinery is built on.
 
-Vectors are 1-D float arrays, matrices 2-D. Collections of vectors are
-passed as sequences of 1-D arrays (or an (m, n) array read row-wise).
-Rank-style tolerances are relative: thresholds scale with the largest
-input column norm, so all decisions are invariant under global scaling.
+A vector is a 1-D float array. A collection of m vectors of R^n is one
+(m, n) float array, a vector per row: `as_points` checks its shape and
+finiteness once, where it enters from the public API, and the private
+kernels work on that array without checking it again. Rank-style
+tolerances are relative: thresholds scale with the largest input row
+norm, so all decisions are invariant under global scaling.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PIVOT_TOL = 1e-12
@@ -34,58 +35,86 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_vectors(vectors) -> list[np.ndarray]:
-    out = [as_vector(v) for v in vectors]
-    if out:
-        n = out[0].shape[0]
-        for v in out[1:]:
-            if v.shape[0] != n:
-                raise DimensionMismatch(
-                    f"mixed vector lengths {n} and {v.shape[0]}"
-                )
-    return out
+def as_points(points) -> np.ndarray:
+    """m vectors of one length as an (m, n) float array, one per row.
+
+    An empty collection is a (0, 0) array.
+    """
+    try:
+        P = np.asarray(points, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"vectors do not form an (m, n) array: {exc}") from exc
+    if P.ndim == 1 and P.size == 0:
+        return P.reshape(0, 0)
+    if P.ndim != 2:
+        raise ValueError(f"expected a sequence of 1-D vectors, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("vectors have non-finite entries")
+    return P
 
 
-def dot(u, v) -> float:
-    """Euclidean inner product of two equal-length vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"lengths {u.shape[0]} and {v.shape[0]}")
-    return float(u @ v)
+def _gram_schmidt(V: np.ndarray, tol: float):
+    """One Gram-Schmidt sweep over the rows of V, in index order.
 
+    Each row is orthogonalized against the rows kept before it by
+    classical Gram-Schmidt, applied twice, and kept when its residual
+    norm exceeds tol times the largest row norm; zero and dependent rows
+    are skipped, so the earliest independent rows win. Kept row k is
+    then c_k . q_<k + rho_k q_k exactly, and the sweep returns
 
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
+    - kept: the indices of the kept rows, ascending;
+    - Q: the orthonormal directions q_k, one row each;
+    - rho: the residual norms rho_k;
+    - y: the coordinates in Q of the point equidistant from the origin
+      and every kept row, by forward substitution on the same
+      coefficients: y_k = (|v_k|^2 / 2 - c_k . y_<k) / rho_k.
+    """
+    m, n = V.shape
+    sq = np.einsum("ij,ij->i", V, V)
+    threshold = tol * math.sqrt(sq.max(initial=0.0))
+    Q = np.empty((m, n))
+    rho = np.empty(m)
+    y = np.empty(m)
+    kept: list[int] = []
+    for i, v in enumerate(V):
+        k = len(kept)
+        basis = Q[:k]
+        c = basis @ v
+        r = v - c @ basis
+        c2 = basis @ r
+        r -= c2 @ basis
+        c += c2
+        rn = math.sqrt(r @ r)
+        if rn > threshold:
+            Q[k] = r / rn
+            rho[k] = rn
+            y[k] = (0.5 * sq[i] - c @ y[:k]) / rn
+            kept.append(i)
+    k = len(kept)
+    return kept, Q[:k], rho[:k], y[:k]
 
 
 def gram(vectors) -> np.ndarray:
     """Gram matrix of a nonempty vector list.
 
-    Each entry is computed once and mirrored, so the result is symmetric
-    bit-for-bit.
+    The upper triangle of V V^T is mirrored into the lower one, so the
+    result is symmetric bit-for-bit.
     """
-    vs = as_vectors(vectors)
-    if not vs:
+    V = as_points(vectors)
+    if not len(V):
         raise ValueError("gram of an empty vector list")
-    m = len(vs)
-    G = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            g = float(vs[i] @ vs[j])
-            G[i, j] = g
-            G[j, i] = g
-    return G
+    G = V @ V.T
+    return np.triu(G) + np.triu(G, 1).T
 
 
 def solve_spd(G, rhs, pivot_tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     """Solve G x = rhs for symmetric positive definite G.
 
-    Uses Cholesky with diagonal pivoting; raises NotPositiveDefinite as
-    soon as the largest remaining Schur-complement diagonal falls to
-    pivot_tol times the largest initial diagonal (absolute fallback for
-    an all-zero matrix). Small near-singular Gram matrices are the
-    expected failure mode, not an exceptional one.
+    Uses a LAPACK Cholesky factorization; raises NotPositiveDefinite
+    when it fails or when a pivot (a squared diagonal entry of the
+    factor) is at most pivot_tol times the largest diagonal entry of G
+    (absolute fallback for an all-zero matrix). Small near-singular Gram
+    matrices are the expected failure mode, not an exceptional one.
     """
     G = np.asarray(G, dtype=float)
     b = as_vector(rhs)
@@ -94,31 +123,15 @@ def solve_spd(G, rhs, pivot_tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
         raise DimensionMismatch(f"G is {G.shape}, rhs has length {b.shape[0]}")
     if m == 0:
         return np.zeros(0)
-
-    A = G.copy()
-    perm = np.arange(m)
-    scale = float(np.max(np.abs(np.diag(A)))) if m else 0.0
-    threshold = pivot_tol * max(scale, 1e-300)
-    for k in range(m):
-        p = k + int(np.argmax(np.diag(A)[k:]))
-        if A[p, p] <= threshold:
-            raise NotPositiveDefinite(
-                f"pivot {A[p, p]:.3e} at step {k} below {threshold:.3e}"
-            )
-        if p != k:
-            A[[k, p], :] = A[[p, k], :]
-            A[:, [k, p]] = A[:, [p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        A[k, k] = np.sqrt(A[k, k])
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k + 1 :, k])
-
-    L = np.tril(A)
-    y = solve_triangular(L, b[perm], lower=True)
-    x = solve_triangular(L.T, y, lower=False)
-    out = np.empty(m)
-    out[perm] = x
-    return out
+    threshold = pivot_tol * max(float(np.max(np.abs(np.diag(G)))), 1e-300)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    pivot = float(np.diag(L).min()) ** 2
+    if pivot <= threshold:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} below {threshold:.3e}")
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def max_independent_subset(
@@ -132,59 +145,15 @@ def max_independent_subset(
     vectors within that threshold. Zero (and near-zero) vectors are
     skipped.
     """
-    vs = as_vectors(vectors)
-    if not vs:
-        return []
-    scale = max(float(np.linalg.norm(v)) for v in vs)
-    if scale == 0.0:
-        return []
-    threshold = tol * scale
-    basis: list[np.ndarray] = []
-    kept: list[int] = []
-    for i, v in enumerate(vs):
-        r = v.copy()
-        for _ in range(2):  # re-orthogonalize: twice is enough
-            for q in basis:
-                r -= (r @ q) * q
-        rn = float(np.linalg.norm(r))
-        if rn > threshold:
-            basis.append(r / rn)
-            kept.append(i)
-    return kept
+    return _gram_schmidt(as_points(vectors), tol)[0]
 
 
 def orthonormalize(vectors, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the span via modified Gram-Schmidt.
+    """Orthonormal basis of the span, from the same sweep.
 
     Dependent (and zero) vectors are skipped at the same relative
     threshold as max_independent_subset; each kept vector is
     orthogonalized twice so the basis is orthonormal to near machine
     precision.
     """
-    vs = as_vectors(vectors)
-    if not vs:
-        return []
-    scale = max(float(np.linalg.norm(v)) for v in vs)
-    if scale == 0.0:
-        return []
-    threshold = tol * scale
-    basis: list[np.ndarray] = []
-    for v in vs:
-        r = v.copy()
-        for _ in range(2):
-            for q in basis:
-                r -= (r @ q) * q
-        rn = float(np.linalg.norm(r))
-        if rn > threshold:
-            basis.append(r / rn)
-    return basis
-
-
-def det_via_factorization(M) -> float:
-    """Determinant computed from a pivoted (LU) factorization."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return 1.0
-    return float(np.linalg.det(M))
+    return list(_gram_schmidt(as_points(vectors), tol)[1])

@@ -24,7 +24,7 @@ from .affine import (
     project,
     reflect,
 )
-from .circumcenter import CircumConfig, circumcenter
+from .circumcenter import CircumConfig, _circumcenter
 from .linalg import as_vector, orthonormalize
 
 log = logging.getLogger("circumlib.solvers")
@@ -143,8 +143,9 @@ class SolverTrace:
 _CC_CFG = CircumConfig()
 
 
-def _circumcenter_of(points) -> np.ndarray:
-    out = circumcenter(points, _CC_CFG)
+def _circumcenter_of(points: list[np.ndarray]) -> np.ndarray:
+    """Circumcenter of a step's reflection points, which need no re-validation."""
+    out = _circumcenter(np.stack(points), _CC_CFG)
     if out.is_empty:
         raise DegenerateStep("circumcenter of the reflection set is empty")
     return out.center
@@ -189,10 +190,8 @@ def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
         return project(problem.subspaces[0], problem.z)
     # Projection onto the sum of the direction spaces, anchored at a
     # point known to lie in every subspace.
-    directions = [q for s in problem.subspaces for q in s.onb]
-    basis = orthonormalize(directions) if directions else []
-    n = problem.dim
-    onb = np.array(basis) if basis else np.zeros((0, n))
+    directions = np.vstack([s.onb for s in problem.subspaces])
+    onb = np.array(orthonormalize(directions)).reshape(-1, problem.dim)
     span_sum = AffineSubspace(base=problem.intersection.base, onb=onb)
     return project(span_sum, problem.z)
 

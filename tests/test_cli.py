@@ -316,3 +316,16 @@ def test_log_unknown_level_warns(tmp_path, capsys):
     res = run_cli_subprocess(["solve", str(path), "--method", "map"], "loud")
     assert res.returncode == 0
     assert "CIRCUM_LOG" in res.stderr
+
+
+# cold start
+
+
+def test_import_does_not_load_scipy():
+    # scipy.linalg alone used to cost about 350 ms of every CLI start
+    code = "import sys, circumlib.cli; print('scipy' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

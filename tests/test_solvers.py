@@ -278,6 +278,19 @@ def test_run_two_lines_raw_z_one_step():
     assert trace.dists[1] <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_overflowing_step_is_degenerate_not_converged():
+    # From z = (1e300, 1e300) the reflection points are about 1e300
+    # apart, so their pairwise distances overflow; the circumcenter is
+    # Empty instead of every point collapsing onto x under an infinite
+    # dedup tolerance (a zero step reported as step_tol).
+    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e300, 1e300])
+    for method in (Method.CDRM, Method.CRM):
+        for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+            with pytest.raises(DegenerateStep):
+                run(method, prob, SolverConfig(initializer=init))
+
+
 def test_run_accepts_string_method():
     prob = Problem([line2(0.0), line2(0.7)], [1.1, 2.3])
     trace = run("map", prob, SolverConfig(max_iter=50))
