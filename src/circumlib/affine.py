@@ -4,10 +4,18 @@ A subspace is stored as a base point plus an orthonormal basis of its
 direction space (rows of `onb`; zero rows for a singleton). Projection
 and reflection are exact linear algebra on that basis; intersection and
 the Friedrichs angle are the two nontrivial operations.
+
+Both rest on the principal angles between the two direction spaces,
+computed once by `_principal`. Tolerances have one meaning there: a
+direction is shared when the sine of its principal angle is at most
+tol, the number `intersect` also applies to membership residuals
+(DEFAULT_MEMBERSHIP_TOL unless given). A sine does not change with the
+scale of the points or the conditioning of the spanning sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,16 +97,31 @@ def distance_to(V: AffineSubspace, x) -> float:
     return float(np.linalg.norm(as_vector(x) - project(V, x)))
 
 
-def _direction_intersection(Qu: np.ndarray, Qv: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the intersection of two direction spaces."""
-    n = Qu.shape[1]
-    complement_u = np.eye(n) - Qu.T @ Qu
-    complement_v = np.eye(n) - Qv.T @ Qv
-    stacked = np.vstack([complement_u, complement_v])
-    _, s, vh = np.linalg.svd(stacked)
-    cutoff = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > max(cutoff, 1e-12)))
-    return vh[rank:]
+def _principal(
+    Qu: np.ndarray, Qv: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """Shared directions and Friedrichs cosine of two direction spaces.
+
+    Qu and Qv hold orthonormal rows. One SVD of Qu Qv^T gives the
+    principal-angle cosines and V's principal vectors. Cosines near 1
+    cannot resolve small angles, so the vectors at angles below 45
+    degrees are refined by a second SVD, of their residual off span(Qu),
+    whose singular values are their sines (Bjorck and Golub 1973;
+    Knyazev and Argentati 2002). Returns the orthonormal rows whose sine
+    is at most tol, and the largest cosine among the other angles (0
+    when there are none).
+    """
+    _, cos, zh = np.linalg.svd(Qu @ Qv.T)
+    small = int(np.sum(cos > math.sqrt(0.5)))
+    P = zh[:small] @ Qv
+    rot, sin, _ = np.linalg.svd(P - (P @ Qu.T) @ Qu, full_matrices=False)
+    shared = int(np.sum(sin <= tol))
+    kept = small - shared
+    if kept:
+        cf = math.sqrt(1.0 - sin[kept - 1] ** 2)
+    else:
+        cf = float(cos[small]) if small < cos.shape[0] else 0.0
+    return rot[:, kept:].T @ P, cf
 
 
 def intersect(
@@ -106,22 +129,22 @@ def intersect(
 ) -> AffineSubspace:
     """Intersection of two affine subspaces.
 
-    A common point is found by least squares on the stacked
-    orthogonal-complement constraints; NoIntersection is raised when its
-    membership residuals exceed tol (scaled by 1 + the norms involved).
-    The direction space of the result is the intersection of the two
-    direction spaces.
+    A common point a + Qu^T alpha = b + Qv^T beta is found by least
+    squares in the (du + dv) coordinates and moved along the shared
+    directions to the point nearest the origin; NoIntersection is raised
+    when its membership residuals exceed tol (scaled by 1 + the norms
+    involved). The direction space of the result is spanned by the
+    directions whose principal-angle sine is at most tol.
     """
     if U.ambient_dim != V.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
         )
-    n = U.ambient_dim
-    complement_u = np.eye(n) - U.onb.T @ U.onb
-    complement_v = np.eye(n) - V.onb.T @ V.onb
-    A = np.vstack([complement_u, complement_v])
-    b = np.concatenate([complement_u @ U.base, complement_v @ V.base])
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
+    W, _ = _principal(U.onb, V.onb, tol)
+    A = np.vstack([U.onb, -V.onb]).T
+    coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
+    p = U.base + U.onb.T @ coef[: U.dim]
+    p = p - W.T @ (W @ p)
     scale = 1.0 + max(
         float(np.linalg.norm(p)),
         float(np.linalg.norm(U.base)),
@@ -130,38 +153,19 @@ def intersect(
     gap = max(distance_to(U, p), distance_to(V, p))
     if gap > tol * scale:
         raise NoIntersection(f"membership residual {gap:.3e} exceeds tolerance")
-    return AffineSubspace(base=p, onb=_direction_intersection(U.onb, V.onb))
+    return AffineSubspace(base=p, onb=W)
 
 
 def friedrichs_cos(U: AffineSubspace, V: AffineSubspace) -> float:
     """Cosine of the Friedrichs angle between the direction spaces.
 
-    The common direction space is deflated from both sides first; the
-    value is the largest singular value of the product of the deflated
-    bases, clipped to [0, 1], and 0 when either deflated side is
-    trivial. Only the parallel (direction) spaces enter, so base points
-    are irrelevant.
+    The largest principal-angle cosine once the shared directions (sine
+    at most DEFAULT_MEMBERSHIP_TOL) are set aside, and 0 when no other
+    angle is left. Only the parallel (direction) spaces enter, so base
+    points are irrelevant.
     """
     if U.ambient_dim != V.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
         )
-    W = _direction_intersection(U.onb, V.onb)
-
-    def deflate(Q: np.ndarray) -> np.ndarray:
-        if not Q.shape[0]:
-            return Q
-        residual = Q - (Q @ W.T) @ W if W.shape[0] else Q
-        # Rows of Q are unit vectors, so a residual below 1e-9 means the
-        # direction lies in the common space and must not be rescaled
-        # back up by a relative threshold.
-        rows = [r for r in residual if np.linalg.norm(r) > 1e-9]
-        basis = orthonormalize(rows) if rows else []
-        return np.array(basis) if basis else np.zeros((0, Q.shape[1]))
-
-    Qu = deflate(U.onb)
-    Qv = deflate(V.onb)
-    if not Qu.shape[0] or not Qv.shape[0]:
-        return 0.0
-    s = np.linalg.svd(Qu @ Qv.T, compute_uv=False)
-    return float(np.clip(s[0], 0.0, 1.0))
+    return _principal(U.onb, V.onb, DEFAULT_MEMBERSHIP_TOL)[1]

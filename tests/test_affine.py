@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumlib import (
     AffineSubspace,
     NoIntersection,
+    Problem,
     affine_hull,
     distance_to,
     friedrichs_cos,
@@ -22,6 +25,12 @@ def random_subspace(rng, n, dim):
     if dim == 0:
         return AffineSubspace(base=base)
     return from_span(base, rng.normal(size=(dim, n)))
+
+
+def random_orthogonal(rng, n):
+    """Seeded random n x n orthogonal matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
 
 
 def in_direction_space(V, v, tol=1e-9):
@@ -294,3 +303,124 @@ def test_friedrichs_symmetry_and_basis_invariance():
         V2 = from_span(np.zeros(n), mix_v)
         if U2.dim == du and V2.dim == dv:
             assert friedrichs_cos(U2, V2) == pytest.approx(c, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "theta, dim, cf",
+    [(1e-9, 1, 0.0), (1e-7, 0, np.cos(1e-7))],
+)
+def test_tiny_angle_shared_by_sine(theta, dim, cf):
+    # Shared means sine <= 1e-8, the membership tolerance: lines 1e-9 rad
+    # apart share their direction, lines 1e-7 rad apart keep their angle.
+    U = from_span([0, 0], [[1, 0]])
+    V = from_span([0, 0], [[np.cos(theta), np.sin(theta)]])
+    assert intersect(U, V).dim == dim
+    assert friedrichs_cos(U, V) == pytest.approx(cf, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ill_conditioned_spans_keep_shared_directions(seed):
+    # Two subspaces of R^400 sharing 4 directions, 30 more each, written
+    # in spanning sets of condition 10^5.2.
+    rng = np.random.default_rng(seed)
+    n, shared, extra = 400, 4, 30
+    k = shared + extra
+    Q = random_orthogonal(rng, n)
+    S = Q[:shared]
+    c = rng.normal(size=n)
+
+    def subspace(own):
+        rows = np.vstack([S, own])
+        span = (
+            random_orthogonal(rng, k)
+            @ np.diag(np.logspace(0, 5.2, k))
+            @ random_orthogonal(rng, k)
+            @ rows
+        )
+        return from_span(c + rows.T @ rng.normal(size=k), span)
+
+    U = subspace(Q[shared:k])
+    V = subspace(Q[k : k + extra])
+    assert intersect(U, V).dim == shared
+    z = rng.normal(size=n) * 3
+    expected = c + S.T @ (S @ (z - c))
+    solution = Problem([U, V], z).solution
+    assert np.linalg.norm(solution - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_planted_principal_angles():
+    # du = 6, dv = 8: two shared directions, cosines 0.71 and 0.70 on
+    # either side of 45 degrees, cosine 0.3, and directions of each side
+    # orthogonal to the other, all rotated together.
+    rng = np.random.default_rng(40)
+    n = 14
+    e = random_orthogonal(rng, n)
+    u_rows = [e[0], e[1], e[2], e[3], e[4], e[5]]
+    v_rows = [e[0], e[1]]
+    for i, cos in enumerate([0.71, 0.70, 0.3]):
+        v_rows.append(cos * e[2 + i] + np.sqrt(1 - cos**2) * e[6 + i])
+    v_rows += [e[9], e[10], e[11]]
+    c = rng.normal(size=n)
+    U = from_span(c, rng.normal(size=(6, 6)) @ np.array(u_rows))
+    V = from_span(c, rng.normal(size=(8, 8)) @ np.array(v_rows))
+    assert (U.dim, V.dim) == (6, 8)
+    assert intersect(U, V).dim == 2
+    assert intersect(V, U).dim == 2
+    assert friedrichs_cos(U, V) == pytest.approx(0.71, abs=1e-12)
+    assert friedrichs_cos(V, U) == pytest.approx(0.71, abs=1e-12)
+
+
+# properties
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two affine subspaces through a common point that share `shared`
+    directions and have generic random directions beyond them."""
+    n = draw(st.integers(2, 10))
+    shared = draw(st.integers(0, n - 1))
+    du = draw(st.integers(0, n - shared))
+    dv = draw(st.integers(0, n - shared - du))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = rng.normal(size=(shared, n))
+    c = rng.normal(size=n) * draw(st.sampled_from([1.0, 10.0, 1e3]))
+    U_rows = np.vstack([S, rng.normal(size=(du, n))])
+    V_rows = np.vstack([S, rng.normal(size=(dv, n))])
+    return rng, c, U_rows, V_rows, shared
+
+
+def _pair(c, U_rows, V_rows, rng):
+    def make(rows):
+        return from_span(c + rows.T @ rng.normal(size=rows.shape[0]), rows)
+
+    return make(U_rows), make(V_rows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_principal_angles_invariant_under_motion_and_swap(pair):
+    rng, c, U_rows, V_rows, shared = pair
+    n = c.shape[0]
+    U, V = _pair(c, U_rows, V_rows, rng)
+    cf, dim = friedrichs_cos(U, V), intersect(U, V).dim
+    assert dim == shared
+    assert friedrichs_cos(V, U) == pytest.approx(cf, abs=1e-10)
+    assert intersect(V, U).dim == dim
+    R = random_orthogonal(rng, n)
+    t = rng.normal(size=n) * 10
+    U2, V2 = _pair(R @ c + t, U_rows @ R.T, V_rows @ R.T, rng)
+    assert friedrichs_cos(U2, V2) == pytest.approx(cf, abs=1e-10)
+    assert intersect(U2, V2).dim == dim
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_intersection_base_on_both_and_nearest_origin(pair):
+    rng, c, U_rows, V_rows, _ = pair
+    U, V = _pair(c, U_rows, V_rows, rng)
+    W = intersect(U, V)
+    scale = 1 + max(np.linalg.norm(x) for x in (W.base, U.base, V.base))
+    assert distance_to(U, W.base) <= 1e-8 * scale
+    assert distance_to(V, W.base) <= 1e-8 * scale
+    # the point of the intersection nearest the origin
+    assert np.abs(W.onb @ W.base).max(initial=0.0) <= 1e-8 * scale
