@@ -11,6 +11,12 @@ direction is shared when the sine of its principal angle is at most
 tol, the number `intersect` also applies to membership residuals
 (DEFAULT_MEMBERSHIP_TOL unless given). A sine does not change with the
 scale of the points or the conditioning of the spanning sets.
+
+Public entry points validate their arguments (`as_vector`, the
+ambient dimension) and then call a private kernel that trusts its
+arrays: `project` calls `_project`, `reflect` calls `_reflect` and
+`distance_to` calls `_distance`. The solvers validate a run's inputs
+once and iterate on the kernels, so both share one arithmetic path.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, as_points, as_vector, orthonormalize
+from .linalg import DEFAULT_RANK_TOL, _norm, as_points, as_vector, orthonormalize
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
@@ -77,24 +83,42 @@ def affine_hull(points, tol: float = DEFAULT_RANK_TOL) -> AffineSubspace:
     return from_span(P[0], P[1:] - P[0], tol)
 
 
-def project(V: AffineSubspace, x) -> np.ndarray:
-    """Orthogonal projection of x onto V."""
+def _point_of(V: AffineSubspace, x) -> np.ndarray:
+    """x as a finite vector of V's ambient space, or ValueError."""
     x = as_vector(x)
     if x.shape[0] != V.ambient_dim:
         raise ValueError(
             f"point has length {x.shape[0]}, subspace lives in R^{V.ambient_dim}"
         )
+    return x
+
+
+def _project(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     d = x - V.base
     return V.base + V.onb.T @ (V.onb @ d)
 
 
+def _reflect(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    return 2.0 * _project(V, x) - x
+
+
+def _distance(V: AffineSubspace, x: np.ndarray) -> float:
+    return _norm(x - _project(V, x))
+
+
+def project(V: AffineSubspace, x) -> np.ndarray:
+    """Orthogonal projection of x onto V."""
+    return _project(V, _point_of(V, x))
+
+
 def reflect(V: AffineSubspace, x) -> np.ndarray:
     """Reflection of x across V: 2 P_V(x) - x."""
-    return 2.0 * project(V, x) - as_vector(x)
+    return _reflect(V, _point_of(V, x))
 
 
 def distance_to(V: AffineSubspace, x) -> float:
-    return float(np.linalg.norm(as_vector(x) - project(V, x)))
+    """Euclidean distance from x to V."""
+    return _distance(V, _point_of(V, x))
 
 
 def _principal(

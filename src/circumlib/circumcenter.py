@@ -97,7 +97,8 @@ def _first_distinct(dist: np.ndarray, tol: float) -> list[int]:
 
 
 def _distinct(P: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """Rows of P left after dedup at rank_tol * (1 + diameter).
+    """Rows of P left after dedup at rank_tol * (1 + diameter), P itself
+    when no row is dropped.
 
     None when a pairwise distance is not finite: the tolerance would be
     infinite too and collapse every point onto the first.
@@ -106,7 +107,8 @@ def _distinct(P: np.ndarray, rank_tol: float) -> np.ndarray | None:
     diam = dist.max()
     if not math.isfinite(diam):
         return None
-    return P[_first_distinct(dist, rank_tol * (1.0 + diam))]
+    kept = _first_distinct(dist, rank_tol * (1.0 + diam))
+    return P if len(kept) == len(P) else P[kept]
 
 
 def _equidistant(dists: np.ndarray, tol: float) -> bool:
@@ -147,7 +149,7 @@ def circumcenter_gram(points, pivot_tol: float | None = None) -> np.ndarray:
     if len(P) == 1:
         return P[0].copy()
     tol = math.sqrt(DEFAULT_PIVOT_TOL if pivot_tol is None else pivot_tol)
-    kept, Q, _, y = _gram_schmidt(P[1:] - P[0], tol)
+    kept, Q, _, y, _ = _gram_schmidt(P[1:] - P[0], tol)
     if len(kept) < len(P) - 1:
         raise NotAffinelyIndependent(
             f"only {len(kept)} of {len(P) - 1} differences independent at {tol:.1e}"
@@ -177,18 +179,19 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
     if distinct is None:
         return CircumOutcome.empty()
     if len(distinct) == 1:
-        return CircumOutcome.exists(distinct[0], 0.0)
+        return CircumOutcome.exists(distinct[0].copy(), 0.0)
     D = distinct[1:] - distinct[0]
-    _, Q, rho, y = _gram_schmidt(D, cfg.rank_tol)
+    _, Q, rho, y, top = _gram_schmidt(D, cfg.rank_tol)
     # A kept difference this close to the span of the earlier ones leaves
     # the system too ill-conditioned to trust its solution.
-    if rho.min() ** 2 <= DEFAULT_PIVOT_TOL * np.einsum("ij,ij->i", D, D).max():
+    if rho.min() ** 2 <= DEFAULT_PIVOT_TOL * top:
         return CircumOutcome.empty()
     center = distinct[0] + y @ Q
-    dists = np.linalg.norm(distinct - center, axis=1)
+    R = distinct - center
+    dists = np.sqrt(np.einsum("ij,ij->i", R, R))
     if not _equidistant(dists, cfg.verify_tol):
         return CircumOutcome.empty()
-    return CircumOutcome.exists(center, dists.mean())
+    return CircumOutcome.exists(center, dists.sum() / len(dists))
 
 
 def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:

@@ -26,6 +26,20 @@ class NotPositiveDefinite(ValueError):
     """A pivot fell below tolerance during Cholesky factorization."""
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array: sqrt(v . v), the number
+    np.linalg.norm gives, unless v . v overflows; then v is rescaled by
+    its largest entry so that a finite vector has a finite norm."""
+    sq = float(v @ v)
+    if sq < math.inf:
+        return math.sqrt(sq)
+    big = float(np.abs(v).max())
+    if not big < math.inf:
+        return big
+    u = v / big
+    return big * math.sqrt(float(u @ u))
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -67,31 +81,40 @@ def _gram_schmidt(V: np.ndarray, tol: float):
     - rho: the residual norms rho_k;
     - y: the coordinates in Q of the point equidistant from the origin
       and every kept row, by forward substitution on the same
-      coefficients: y_k = (|v_k|^2 / 2 - c_k . y_<k) / rho_k.
+      coefficients: y_k = (|v_k|^2 / 2 - c_k . y_<k) / rho_k;
+    - top: the largest squared row norm max |v_i|^2 (0 for no rows).
+
+    The first kept row has nothing to be orthogonalized against and is
+    taken as it is, which gives the numbers the empty projections would.
     """
     m, n = V.shape
     sq = np.einsum("ij,ij->i", V, V)
-    threshold = tol * math.sqrt(sq.max(initial=0.0))
+    top = sq.max(initial=0.0)
+    threshold = tol * math.sqrt(top)
     Q = np.empty((m, n))
     rho = np.empty(m)
     y = np.empty(m)
     kept: list[int] = []
     for i, v in enumerate(V):
         k = len(kept)
-        basis = Q[:k]
-        c = basis @ v
-        r = v - c @ basis
-        c2 = basis @ r
-        r -= c2 @ basis
-        c += c2
+        if k:
+            basis = Q[:k]
+            c = basis @ v
+            r = v - c @ basis
+            c2 = basis @ r
+            r -= c2 @ basis
+            c += c2
+            cy = c @ y[:k]
+        else:
+            r, cy = v, 0.0
         rn = math.sqrt(r @ r)
         if rn > threshold:
-            Q[k] = r / rn
+            np.divide(r, rn, out=Q[k])
             rho[k] = rn
-            y[k] = (0.5 * sq[i] - c @ y[:k]) / rn
+            y[k] = (0.5 * sq[i] - cy) / rn
             kept.append(i)
     k = len(kept)
-    return kept, Q[:k], rho[:k], y[:k]
+    return kept, Q[:k], rho[:k], y[:k], top
 
 
 def gram(vectors) -> np.ndarray:

@@ -5,6 +5,12 @@ two sets (cdrm) and for m sets (crm), plus Douglas-Rachford (dr) and
 cyclic projections (map) as baselines. The reference solution is the
 projection of the problem's anchor point z onto the full intersection,
 computed once at problem construction.
+
+The public step operators validate x (`as_vector` and the ambient
+dimension) and call private kernels that trust their arrays; `run`
+validates its starting point once, iterates on the same kernels and
+checks each new iterate and the numbers it records for finiteness
+instead, so a run and the public steps compute the same numbers.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ import numpy as np
 from .affine import (
     AffineSubspace,
     NoIntersection,
-    distance_to,
+    _distance,
+    _point_of,
+    _project,
+    _reflect,
     intersect,
     project,
-    reflect,
 )
 from .circumcenter import CircumConfig, _circumcenter
-from .linalg import as_vector, orthonormalize
+from .linalg import _norm, as_vector, orthonormalize
 
 log = logging.getLogger("circumlib.solvers")
 
@@ -144,43 +152,71 @@ _CC_CFG = CircumConfig()
 
 
 def _circumcenter_of(points: list[np.ndarray]) -> np.ndarray:
-    """Circumcenter of a step's reflection points, which need no re-validation."""
-    out = _circumcenter(np.stack(points), _CC_CFG)
+    """Circumcenter of a step's reflection points, which need no re-validation.
+
+    Reflections that overflowed make the circumcenter Empty, so they end
+    the step here too.
+    """
+    out = _circumcenter(np.array(points), _CC_CFG)
     if out.is_empty:
         raise DegenerateStep("circumcenter of the reflection set is empty")
     return out.center
 
 
+def _point_for(subspaces, x) -> np.ndarray:
+    """x validated once against every set a step visits."""
+    for s in subspaces:
+        x = _point_of(s, x)
+    return x
+
+
+# Step kernels: x is a finite vector of the sets' ambient space.
+
+
+def _cdrm(U: AffineSubspace, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    ru = _reflect(U, x)
+    return _circumcenter_of([x, ru, _reflect(V, ru)])
+
+
+def _crm(subspaces, x: np.ndarray) -> np.ndarray:
+    points = [x]
+    for s in subspaces:
+        x = _reflect(s, x)
+        points.append(x)
+    return _circumcenter_of(points)
+
+
+def _dr(U: AffineSubspace, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    pu = _project(U, x)
+    return x - pu + _project(V, 2.0 * pu - x)
+
+
+def _map(subspaces, x: np.ndarray) -> np.ndarray:
+    for s in subspaces:
+        x = _project(s, x)
+    return x
+
+
 def cdrm_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Circumcenter of {x, R_U x, R_V R_U x}."""
-    x = as_vector(x)
-    ru = reflect(U, x)
-    return _circumcenter_of([x, ru, reflect(V, ru)])
+    return _cdrm(U, V, _point_for((U, V), x))
 
 
 def crm_step(subspaces, x) -> np.ndarray:
     """Circumcenter of x and its successive reflections through all sets."""
-    cur = as_vector(x)
-    points = [cur]
-    for s in subspaces:
-        cur = reflect(s, cur)
-        points.append(cur)
-    return _circumcenter_of(points)
+    subspaces = list(subspaces)
+    return _crm(subspaces, _point_for(subspaces, x))
 
 
 def dr_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Douglas-Rachford: x - P_U x + P_V(2 P_U x - x)."""
-    x = as_vector(x)
-    pu = project(U, x)
-    return x - pu + project(V, 2.0 * pu - x)
+    return _dr(U, V, _point_for((U, V), x))
 
 
 def map_step(subspaces, x) -> np.ndarray:
     """One sweep of cyclic projections."""
-    cur = as_vector(x)
-    for s in subspaces:
-        cur = project(s, cur)
-    return cur
+    subspaces = list(subspaces)
+    return _map(subspaces, _point_for(subspaces, x))
 
 
 def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
@@ -203,58 +239,72 @@ def run(
 ) -> SolverTrace:
     """Iterate the chosen method from the configured starting point.
 
-    Stops on step_tol (successive iterates), on sol_tol against the
-    reference solution when configured, or at max_iter. dr traces also
-    carry the shadow sequence P_{U_1} x_k and measure distances and
-    residuals on it.
+    The stopping reason is recorded in trace.reason:
+
+    - "sol_tol": the distance to the reference solution fell to sol_tol
+      (only when sol_tol is configured);
+    - "step_tol": successive iterates are at most step_tol apart;
+    - "non_finite": the next iterate, its step norm, shadow, dist or
+      residual has an infinite or NaN entry (an overflow); it is not
+      recorded, so every recorded number is finite;
+    - "max_iter": max_iter steps were taken.
+
+    A starting point whose numbers overflow raises ValueError. A
+    circumcentered step whose circumcenter is Empty, overflowing
+    reflections included, raises DegenerateStep. dr traces also carry
+    the shadow sequence P_{U_1} x_k and measure distances and residuals
+    on it.
     """
     method = Method(method)
     if method in (Method.CDRM, Method.DR) and problem.num_sets != 2:
         raise ValueError(f"{method.value} handles exactly two sets")
 
-    U = problem.subspaces[0]
-    V = problem.subspaces[1]
+    sets = problem.subspaces
+    U, V = sets[0], sets[1]
     if method is Method.CDRM:
-        step = lambda x: cdrm_step(U, V, x)
+        step = lambda x: _cdrm(U, V, x)
     elif method is Method.CRM:
-        step = lambda x: crm_step(problem.subspaces, x)
+        step = lambda x: _crm(sets, x)
     elif method is Method.DR:
-        step = lambda x: dr_step(U, V, x)
+        step = lambda x: _dr(U, V, x)
     else:
-        step = lambda x: map_step(problem.subspaces, x)
+        step = lambda x: _map(sets, x)
 
     shadowed = method is Method.DR
     solution = problem.solution
-
-    def observe(x: np.ndarray) -> np.ndarray:
-        return project(U, x) if shadowed else x
-
-    x = _initial_point(problem, cfg.initializer)
     trace = SolverTrace(method=method, shadows=[] if shadowed else None)
-    trace.iterates.append(x)
-    obs = observe(x)
-    if shadowed:
-        trace.shadows.append(obs)
-    trace.dists.append(float(np.linalg.norm(obs - solution)))
-    trace.residuals.append(
-        max(distance_to(s, obs) for s in problem.subspaces)
-    )
+
+    def record(x: np.ndarray) -> bool:
+        """Append x with its shadow, dist and residual; False, appending
+        nothing, when one of them is not finite (an overflow)."""
+        obs = _project(U, x) if shadowed else x
+        if shadowed and not np.isfinite(obs).all():
+            return False
+        dist = _norm(obs - solution)
+        residual = max(_distance(s, obs) for s in sets)
+        if not (math.isfinite(dist) and math.isfinite(residual)):
+            return False
+        trace.iterates.append(x)
+        if shadowed:
+            trace.shadows.append(obs)
+        trace.dists.append(dist)
+        trace.residuals.append(residual)
+        return True
+
+    x = as_vector(_initial_point(problem, cfg.initializer))
+    if not record(x):
+        raise ValueError("the starting point's shadow, distance or residual overflows")
 
     reason = "max_iter"
     for k in range(cfg.max_iter):
         x_next = step(x)
-        step_norm = float(np.linalg.norm(x_next - x))
+        step_norm = _norm(x_next - x) if np.isfinite(x_next).all() else math.inf
+        if not (step_norm < math.inf and record(x_next)):
+            reason = "non_finite"
+            break
         x = x_next
-        obs = observe(x)
-        trace.iterates.append(x)
-        if shadowed:
-            trace.shadows.append(obs)
         trace.step_norms.append(step_norm)
-        dist = float(np.linalg.norm(obs - solution))
-        trace.dists.append(dist)
-        trace.residuals.append(
-            max(distance_to(s, obs) for s in problem.subspaces)
-        )
+        dist = trace.dists[-1]
         log.debug(
             "%s iter %d: step %.3e dist %.3e", method.value, k + 1, step_norm, dist
         )

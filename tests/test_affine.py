@@ -114,6 +114,26 @@ def test_project_dimension_mismatch():
         project(V, [1, 2, 3])
 
 
+def test_maps_validate_their_point():
+    V = from_span([0, 0], [[1, 0]])
+    for fn in (project, reflect, distance_to):
+        with pytest.raises(ValueError, match="point has length 3"):
+            fn(V, [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(V, [1.0, np.inf])
+        with pytest.raises(ValueError, match="1-D"):
+            fn(V, [[1.0, 2.0]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_distance_to_does_not_overflow():
+    V = from_span([0, 0], [[1, 0]])
+    assert distance_to(V, [5.0, 2.0]) == 2.0
+    # the squared distance, 9e400, is not a float; the distance is
+    assert distance_to(V, [1e200, 3e200]) == 3e200
+    assert distance_to(V, [1e308, -1e308]) == 1e308
+
+
 def test_reflect_across_x_axis():
     V = from_span([0, 0], [[1, 0]])
     assert np.allclose(reflect(V, [3, 5]), [3, -5])

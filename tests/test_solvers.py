@@ -16,6 +16,7 @@ from circumlib import (
     affine_hull,
     cdrm_step,
     crm_step,
+    distance_to,
     dr_step,
     estimate_rate,
     from_span,
@@ -99,6 +100,21 @@ def test_cdrm_fixed_point():
         c = rng.normal(size=n)
         U, V = random_pair_through(rng, n, int(rng.integers(1, n)), int(rng.integers(1, n)), c)
         assert np.linalg.norm(cdrm_step(U, V, c) - c) <= 1e-10
+
+
+def test_public_steps_validate_x():
+    U, V = line2(0.0), line2(0.7)
+    steps = (
+        lambda x: cdrm_step(U, V, x),
+        lambda x: crm_step([U, V], x),
+        lambda x: dr_step(U, V, x),
+        lambda x: map_step([U, V], x),
+    )
+    for step in steps:
+        with pytest.raises(ValueError, match="point has length 3"):
+            step([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            step([np.nan, 1.0])
 
 
 def test_cdrm_two_lines_one_step():
@@ -279,16 +295,107 @@ def test_run_two_lines_raw_z_one_step():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_overflowing_step_is_degenerate_not_converged():
     # From z = (1e300, 1e300) the reflection points are about 1e300
     # apart, so their pairwise distances overflow; the circumcenter is
     # Empty instead of every point collapsing onto x under an infinite
-    # dedup tolerance (a zero step reported as step_tol).
-    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e300, 1e300])
-    for method in (Method.CDRM, Method.CRM):
-        for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
-            with pytest.raises(DegenerateStep):
-                run(method, prob, SolverConfig(initializer=init))
+    # dedup tolerance (a zero step reported as step_tol). From 1e308 the
+    # reflections themselves overflow, with the same outcome.
+    for scale in (1e300, 1e308):
+        prob = Problem([line2(0.0), line2(np.pi / 4)], [scale, scale])
+        for method in (Method.CDRM, Method.CRM):
+            for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+                with pytest.raises(DegenerateStep):
+                    run(method, prob, SolverConfig(initializer=init))
+
+
+def assert_finite_trace(trace):
+    k = len(trace.iterates)
+    assert len(trace.step_norms) == k - 1
+    assert len(trace.dists) == k
+    assert len(trace.residuals) == k
+    points = trace.iterates + (trace.shadows or [])
+    assert all(np.isfinite(x).all() for x in points)
+    numbers = trace.step_norms + trace.dists + trace.residuals
+    assert np.isfinite(numbers).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_run_non_finite_iterate_is_named():
+    # 2 P_U x - x overflows in the first dr step; the run stops there
+    # with a reason instead of a ValueError, and records nothing infinite.
+    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e308, 1e308])
+    for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+        trace = run(Method.DR, prob, SolverConfig(initializer=init))
+        assert trace.reason == "non_finite"
+        assert len(trace.shadows) == len(trace.iterates)
+        assert_finite_trace(trace)
+    # A finite iterate whose shadow overflows: U has its base near the
+    # top of the float range, and x_1 - base overflows in P_U x_1.
+    U = line2(0.0, base=(1.5e308, 0.0))
+    prob = Problem([U, line2(np.pi / 4)], [0.0, 1e308])
+    trace = run(Method.DR, prob, SolverConfig(initializer=Initializer.RAW_Z))
+    assert trace.reason == "non_finite"
+    assert len(trace.iterates) == 1 and len(trace.shadows) == 1
+    assert_finite_trace(trace)
+    # A finite step whose length overflows: dr on span(e1, e2, e3) and
+    # span(e4, e5, e6) maps z = (8e307,)*6 to the origin in one step of
+    # length 1.96e308.
+    e = np.eye(6)
+    U, V = from_span(np.zeros(6), e[:3]), from_span(np.zeros(6), e[3:])
+    prob = Problem([U, V], [8e307] * 6)
+    trace = run(Method.DR, prob, SolverConfig(initializer=Initializer.RAW_Z))
+    assert trace.reason == "non_finite"
+    assert len(trace.iterates) == 1
+    assert_finite_trace(trace)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_run_start_with_overflowing_shadow_raises():
+    # In R^4 the shadow of z = (1e308,)*4 on the diagonal line overflows
+    # before any step; there is nothing finite to record.
+    diagonal = from_span(np.zeros(4), [[1.0, 1.0, 1.0, 1.0]])
+    axis = from_span(np.zeros(4), [[1.0, 0.0, 0.0, 0.0]])
+    prob = Problem([diagonal, axis], [1e308] * 4)
+    with pytest.raises(ValueError, match="starting point"):
+        run(Method.DR, prob, SolverConfig(initializer=Initializer.RAW_Z))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_large_finite_iterates_are_not_flagged():
+    # Iterates near 1e200 are finite although their squared norms are
+    # not; they must not end the run, and their distances stay finite.
+    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e200, 3e200])
+    for method in (Method.DR, Method.MAP):
+        trace = run(method, prob, SolverConfig(max_iter=5))
+        assert trace.reason == "max_iter"
+        assert trace.dists[0] > 1e199
+        assert_finite_trace(trace)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_run_matches_public_steps_bit_for_bit(method):
+    # run() iterates on private kernels; every recorded number must be
+    # what the public API computes from the recorded iterates.
+    prob = generate_two_subspace(40, 10, 12, 0.8, seed=16)
+    U, V = prob.subspaces
+    step = {
+        Method.CDRM: lambda x: cdrm_step(U, V, x),
+        Method.CRM: lambda x: crm_step(prob.subspaces, x),
+        Method.DR: lambda x: dr_step(U, V, x),
+        Method.MAP: lambda x: map_step(prob.subspaces, x),
+    }[method]
+    trace = run(method, prob, SolverConfig(max_iter=25))
+    assert trace.num_steps == 25
+    for k, x in enumerate(trace.iterates):
+        if k < trace.num_steps:
+            assert np.array_equal(trace.iterates[k + 1], step(x))
+        obs = project(U, x) if method is Method.DR else x
+        assert trace.dists[k] == np.linalg.norm(obs - prob.solution)
+        assert trace.residuals[k] == max(distance_to(s, obs) for s in prob.subspaces)
 
 
 def test_run_accepts_string_method():
