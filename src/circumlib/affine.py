@@ -156,9 +156,10 @@ def intersect(
     A common point a + Qu^T alpha = b + Qv^T beta is found by least
     squares in the (du + dv) coordinates and moved along the shared
     directions to the point nearest the origin; NoIntersection is raised
-    when its membership residuals exceed tol (scaled by 1 + the norms
-    involved). The direction space of the result is spanned by the
-    directions whose principal-angle sine is at most tol.
+    when a membership residual exceeds tol times the largest norm of
+    that point and the two base points (see linalg).
+    The direction space of the result is spanned by the directions
+    whose principal-angle sine is at most tol.
     """
     if U.ambient_dim != V.ambient_dim:
         raise ValueError(
@@ -169,11 +170,7 @@ def intersect(
     coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
     p = U.base + U.onb.T @ coef[: U.dim]
     p = p - W.T @ (W @ p)
-    scale = 1.0 + max(
-        float(np.linalg.norm(p)),
-        float(np.linalg.norm(U.base)),
-        float(np.linalg.norm(V.base)),
-    )
+    scale = max(_norm(p), _norm(U.base), _norm(V.base))
     gap = max(distance_to(U, p), distance_to(V, p))
     if gap > tol * scale:
         raise NoIntersection(f"membership residual {gap:.3e} exceeds tolerance")

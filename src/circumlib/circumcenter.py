@@ -5,6 +5,10 @@ of the affine hull of S equidistant from every point of S; the
 circumradius is that common distance. Both are partial: a set with no
 equidistant point in its hull has outcome Empty and radius +inf. Empty
 is a value, not an error.
+
+Every tolerance here is relative to the set itself, plus the rounding
+noise of its points (see linalg), so outcomes are covariant under
+scaling and translation.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .linalg import (
     DEFAULT_PIVOT_TOL,
     DimensionMismatch,
     _gram_schmidt,
+    _norm,
     as_points,
     as_vector,
     gram,
@@ -25,6 +30,9 @@ from .linalg import (
 
 DEFAULT_DEDUP_TOL_REL = 1e-9
 _BLOCK_ENTRIES = 1 << 20
+# Rounding noise of a point p, per unit of |p|: differences and distances
+# of points are not resolved more finely than _NOISE * max_i |p_i|.
+_NOISE = 64 * np.finfo(float).eps
 
 
 class NotAffinelyIndependent(ValueError):
@@ -39,9 +47,13 @@ class NotThreeDimensional(ValueError):
 class CircumConfig:
     """Tolerances for the total circumcenter routine.
 
-    rank_tol drives the affine-independence and dedup decisions
-    (relative); verify_tol drives the final equidistance check
-    (relative to 1 + the largest distance).
+    rank_tol decides which points coincide and which differences
+    p_i - p_1 are independent: a difference is kept when its residual
+    against the earlier ones exceeds rank_tol times the largest
+    difference. verify_tol bounds the final equidistance check: the
+    spread of the distances to the center must be at most verify_tol
+    times the largest distance. Both also allow the rounding noise of
+    the points, 64 eps * max_i |p_i|.
     """
 
     rank_tol: float = 1e-10
@@ -96,24 +108,23 @@ def _first_distinct(dist: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
-def _distinct(P: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """Rows of P left after dedup at rank_tol * (1 + diameter), P itself
-    when no row is dropped.
+def _noise(P: np.ndarray) -> float:
+    """_NOISE * max_i |p_i|, the rounding noise of the points.
 
-    None when a pairwise distance is not finite: the tolerance would be
-    infinite too and collapse every point onto the first.
+    Rows whose squared norms overflow are measured again with rescaling
+    (linalg._norm), so finite points have finite noise; a non-finite
+    entry gives non-finite noise.
     """
-    dist = _pairwise_distances(P)
-    diam = dist.max()
-    if not math.isfinite(diam):
-        return None
-    kept = _first_distinct(dist, rank_tol * (1.0 + diam))
-    return P if len(kept) == len(P) else P[kept]
+    s = math.sqrt(np.einsum("ij,ij->i", P, P).max(initial=0.0))
+    if not s < math.inf:
+        s = float(np.max([_norm(p) for p in P]))
+    return _NOISE * s
 
 
-def _equidistant(dists: np.ndarray, tol: float) -> bool:
+def _equidistant(dists: np.ndarray, tol: float, noise: float) -> bool:
+    """The spread of dists is at most tol * (largest distance) + noise."""
     hi = dists.max()
-    return bool(hi - dists.min() <= tol * (1.0 + hi))
+    return bool(hi - dists.min() <= tol * hi + noise)
 
 
 def diameter(points) -> float:
@@ -123,13 +134,14 @@ def diameter(points) -> float:
 def dedup(points, tol: float | None = None) -> list[np.ndarray]:
     """Drop points within tol of an earlier one; order preserved.
 
-    Default tol is 1e-9 * (1 + diameter), so exact duplicates always
-    collapse and distinct points at any scale survive.
+    Default tol is 1e-9 * diameter plus the rounding noise of the
+    points, so exact duplicates always collapse and the outcome does not
+    change when the set is scaled or moved.
     """
     P = as_points(points)
     dist = _pairwise_distances(P)
     if tol is None:
-        tol = DEFAULT_DEDUP_TOL_REL * (1.0 + dist.max(initial=0.0))
+        tol = DEFAULT_DEDUP_TOL_REL * dist.max(initial=0.0) + _noise(P)
     return list(P[_first_distinct(dist, tol)])
 
 
@@ -160,7 +172,8 @@ def circumcenter_gram(points, pivot_tol: float | None = None) -> np.ndarray:
 def verify_equidistant(p, points, tol: float) -> bool:
     """True when max and min distances from p to the points agree.
 
-    The spread is compared against tol * (1 + max distance).
+    The spread is compared against tol * (max distance) plus the
+    rounding noise of the points.
     """
     p = as_vector(p)
     P = as_points(points)
@@ -170,26 +183,29 @@ def verify_equidistant(p, points, tol: float) -> bool:
         raise DimensionMismatch(
             f"point has length {p.shape[0]}, set has length {P.shape[1]}"
         )
-    return _equidistant(np.linalg.norm(P - p, axis=1), tol)
+    return _equidistant(np.linalg.norm(P - p, axis=1), tol, _noise(P))
+
+
+def _ill_posed(rho: np.ndarray, top: float) -> bool:
+    """A kept difference this close to the span of the earlier ones
+    leaves the system too ill-conditioned to trust its solution."""
+    return rho.min(initial=math.inf) ** 2 <= DEFAULT_PIVOT_TOL * top
 
 
 def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
-    """circumcenter() of a validated, nonempty (m, n) array."""
-    distinct = _distinct(P, cfg.rank_tol)
-    if distinct is None:
+    """circumcenter() of a nonempty (m, n) array; non-finite entries
+    (from overflowing reflections) give Empty."""
+    noise = _noise(P)
+    # A duplicate's difference, like a dependent one, leaves a residual
+    # within rank_tol of the largest difference, or within the noise, so
+    # this one sweep also dedups.
+    _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], cfg.rank_tol, noise)
+    if not (noise < math.inf and top < math.inf) or _ill_posed(rho, top):
         return CircumOutcome.empty()
-    if len(distinct) == 1:
-        return CircumOutcome.exists(distinct[0].copy(), 0.0)
-    D = distinct[1:] - distinct[0]
-    _, Q, rho, y, top = _gram_schmidt(D, cfg.rank_tol)
-    # A kept difference this close to the span of the earlier ones leaves
-    # the system too ill-conditioned to trust its solution.
-    if rho.min() ** 2 <= DEFAULT_PIVOT_TOL * top:
-        return CircumOutcome.empty()
-    center = distinct[0] + y @ Q
-    R = distinct - center
+    center = P[0] + y @ Q
+    R = P - center
     dists = np.sqrt(np.einsum("ij,ij->i", R, R))
-    if not _equidistant(dists, cfg.verify_tol):
+    if not _equidistant(dists, cfg.verify_tol, noise):
         return CircumOutcome.empty()
     return CircumOutcome.exists(center, dists.sum() / len(dists))
 
@@ -197,11 +213,15 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
 def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     """Total circumcenter: Exists(center, radius) or Empty, never an error.
 
-    Deduplicates, sweeps the differences to the first point in index
-    order, which keeps a maximal affinely independent subset with the
-    same hull and solves for its circumcenter in the same pass, then
-    verifies the candidate against every point. Any degeneracy,
-    including pairwise distances that overflow, yields Empty.
+    One Gram-Schmidt sweep over the differences to the first point, in
+    index order, keeps a maximal affinely independent subset with the
+    same hull and solves for its circumcenter in the same pass; a
+    duplicate's difference has no residual, so the sweep drops it like a
+    dependent one. The candidate is then verified against every point.
+    Both decisions are relative to the set, up to the rounding noise of
+    its points (see CircumConfig), so the outcome is covariant under
+    scaling and translation. Any degeneracy, including differences whose
+    squared norms overflow, yields Empty.
     """
     P = as_points(points)
     if not len(P):
@@ -215,44 +235,32 @@ def circumradius(points, cfg: CircumConfig = CircumConfig()) -> float:
 
 
 def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
-    """Closed-form circumcenter of up to three points in any dimension.
+    """Circumcenter of three points in any dimension, by closed form.
 
-    After dedup: one point is its own center; two distinct points have
-    the midpoint; three affinely independent points use the closed form
+    Three affinely independent points use the closed form
 
         ( ||y-z||^2 <x-z, x-y> x + ||x-z||^2 <y-z, y-x> y
           + ||x-y||^2 <z-x, z-y> z ) / K,
         K = 2 (||y-x||^2 ||z-x||^2 - <y-x, z-x>^2),
 
-    and three distinct collinear points are Empty. K is twice the Gram
-    determinant of the differences, so K <= 0 (up to tolerance) is the
-    dependence test. Pairwise distances that overflow yield Empty.
+    where K is twice the Gram determinant of the differences. Which
+    points coincide and which are independent is decided by the same
+    sweep as circumcenter(), and any other set (duplicates, collinear or
+    ill-conditioned points, overflow) gets circumcenter()'s outcome.
     """
     P = as_points([x, y, z])
     x, y, z = P
-    distinct = _distinct(P, cfg.rank_tol)
-    if distinct is None:
-        return CircumOutcome.empty()
-    if len(distinct) == 1:
-        return CircumOutcome.exists(distinct[0], 0.0)
-    if len(distinct) == 2:
-        center = 0.5 * (distinct[0] + distinct[1])
-        return CircumOutcome.exists(
-            center, float(np.linalg.norm(center - distinct[0]))
-        )
+    kept, _, rho, _, top = _gram_schmidt(P[1:] - x, cfg.rank_tol, _noise(P))
+    if len(kept) < 2 or _ill_posed(rho, top):
+        return _circumcenter(P, cfg)
     a = y - x
     b = z - x
     na2 = float(a @ a)
-    nb2 = float(b @ b)
-    # Dependence test and denominator via the residual of b against a:
-    # ||r||^2 * ||a||^2 equals the Gram determinant exactly but does not
-    # drown small angles in the eps * ||a||^2 ||b||^2 noise floor of the
-    # squared form.
+    # K via the residual of b against a: ||r||^2 * ||a||^2 equals the
+    # Gram determinant exactly but does not drown small angles in the
+    # eps * ||a||^2 ||b||^2 noise floor of the squared form.
     r = b - (float(a @ b) / na2) * a
-    nr2 = float(r @ r)
-    if math.sqrt(nr2) <= cfg.rank_tol * math.sqrt(nb2):
-        return CircumOutcome.empty()
-    K = 2.0 * na2 * nr2
+    K = 2.0 * na2 * float(r @ r)
     wx = float((y - z) @ (y - z)) * float((x - z) @ (x - y))
     wy = float((x - z) @ (x - z)) * float((y - z) @ (y - x))
     wz = float((x - y) @ (x - y)) * float((z - x) @ (z - y))

@@ -3,9 +3,25 @@
 A vector is a 1-D float array. A collection of m vectors of R^n is one
 (m, n) float array, a vector per row: `as_points` checks its shape and
 finiteness once, where it enters from the public API, and the private
-kernels work on that array without checking it again. Rank-style
-tolerances are relative: thresholds scale with the largest input row
-norm, so all decisions are invariant under global scaling.
+kernels work on that array without checking it again.
+
+Every tolerance is relative, with no absolute floor, so every decision
+is invariant under global scaling. A rank decision on a vector list
+(`max_independent_subset`, `orthonormalize`) keeps a vector whose
+residual exceeds tol times the largest input norm. A decision on a
+point set p_1..p_m is relative to the set itself, so it is also
+invariant under translation: which points coincide and which
+differences p_i - p_1 are independent is decided against tol times the
+largest difference, whether a candidate center is equidistant against
+tol times the largest distance, and whether a circumcenter's system is
+well conditioned by its squared pivots against the largest squared
+difference. The coincidence and equidistance tests also allow the
+rounding noise of the points, a few dozen eps times max_i |p_i|:
+points far from the origin cannot be told apart more finely, and the
+reflections of a point x that lies on a set differ from x by a few
+eps * |x|. An affine subspace has no extent, so whether a point lies on
+one is decided against tol times the largest norm of the points
+involved.
 """
 
 from __future__ import annotations
@@ -67,14 +83,15 @@ def as_points(points) -> np.ndarray:
     return P
 
 
-def _gram_schmidt(V: np.ndarray, tol: float):
+def _gram_schmidt(V: np.ndarray, tol: float, floor: float = 0.0):
     """One Gram-Schmidt sweep over the rows of V, in index order.
 
     Each row is orthogonalized against the rows kept before it by
     classical Gram-Schmidt, applied twice, and kept when its residual
-    norm exceeds tol times the largest row norm; zero and dependent rows
-    are skipped, so the earliest independent rows win. Kept row k is
-    then c_k . q_<k + rho_k q_k exactly, and the sweep returns
+    norm exceeds both tol times the largest row norm and floor; zero
+    and dependent rows are skipped, so the earliest independent rows
+    win. Kept row k is then c_k . q_<k + rho_k q_k exactly, and the
+    sweep returns
 
     - kept: the indices of the kept rows, ascending;
     - Q: the orthonormal directions q_k, one row each;
@@ -90,7 +107,7 @@ def _gram_schmidt(V: np.ndarray, tol: float):
     m, n = V.shape
     sq = np.einsum("ij,ij->i", V, V)
     top = sq.max(initial=0.0)
-    threshold = tol * math.sqrt(top)
+    threshold = max(tol * math.sqrt(top), floor)
     Q = np.empty((m, n))
     rho = np.empty(m)
     y = np.empty(m)

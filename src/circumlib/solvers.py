@@ -173,12 +173,8 @@ def _point_for(subspaces, x) -> np.ndarray:
 # Step kernels: x is a finite vector of the sets' ambient space.
 
 
-def _cdrm(U: AffineSubspace, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
-    ru = _reflect(U, x)
-    return _circumcenter_of([x, ru, _reflect(V, ru)])
-
-
 def _crm(subspaces, x: np.ndarray) -> np.ndarray:
+    """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case."""
     points = [x]
     for s in subspaces:
         x = _reflect(s, x)
@@ -199,7 +195,7 @@ def _map(subspaces, x: np.ndarray) -> np.ndarray:
 
 def cdrm_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Circumcenter of {x, R_U x, R_V R_U x}."""
-    return _cdrm(U, V, _point_for((U, V), x))
+    return _crm((U, V), _point_for((U, V), x))
 
 
 def crm_step(subspaces, x) -> np.ndarray:
@@ -261,9 +257,7 @@ def run(
 
     sets = problem.subspaces
     U, V = sets[0], sets[1]
-    if method is Method.CDRM:
-        step = lambda x: _cdrm(U, V, x)
-    elif method is Method.CRM:
+    if method in (Method.CDRM, Method.CRM):
         step = lambda x: _crm(sets, x)
     elif method is Method.DR:
         step = lambda x: _dr(U, V, x)

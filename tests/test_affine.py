@@ -227,10 +227,14 @@ def test_intersect_planes_gives_axis():
 
 
 def test_intersect_parallel_lines():
+    # Membership is relative to the magnitude of the points, with no
+    # absolute floor, so lines 1e-9 apart near the origin are as
+    # parallel as lines 1 apart.
     U = from_span([0, 0], [[1, 0]])
-    V = from_span([0, 1], [[1, 0]])
-    with pytest.raises(NoIntersection):
-        intersect(U, V)
+    for gap in (1.0, 1e-9):
+        V = from_span([0, gap], [[1, 0]])
+        with pytest.raises(NoIntersection):
+            intersect(U, V)
 
 
 def test_intersect_ambient_mismatch():

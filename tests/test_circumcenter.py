@@ -60,6 +60,8 @@ def test_dedup_examples():
     assert np.array_equal(dedup([[3, 4]]), [[3, 4]])
     got = dedup([[-1, 0], [1, 0], [1, 0]])
     assert np.array_equal(got, [[-1, 0], [1, 0]])
+    tiny = 1e-12 * np.array([[0, 0], [1, 0], [1, 0]])
+    assert np.array_equal(dedup(tiny), tiny[:2])
 
 
 def test_dedup_respects_tol_and_order():
@@ -76,12 +78,10 @@ def test_pairwise_distances_blocked_equal_one_shot(monkeypatch, block):
     P[4] = P[1]
     D = P[:, None] - P
     one_shot = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
-    center = circumcenter(P[:4]).center
     monkeypatch.setattr(cc_mod, "_BLOCK_ENTRIES", block)
     assert np.array_equal(cc_mod._pairwise_distances(P), one_shot)
     assert diameter(P) == one_shot.max()
     assert np.array_equal(dedup(P), np.delete(P, 4, axis=0))
-    assert np.array_equal(circumcenter(P[:4]).center, center)
 
 
 # --- circumcenter_gram ----------------------------------------------------
@@ -125,6 +125,9 @@ def test_verify_equidistant_is_relative():
     pts = [[1e9, 0], [0, 1e9]]
     assert verify_equidistant([0.5e9, 0.5e9 + 1], pts, 1e-8)
     assert not verify_equidistant([0.5e9, 0.5e9 + 1e4], pts, 1e-8)
+    pts = [[1e-12, 0], [0, 1e-12]]
+    assert verify_equidistant([0.5e-12, 0.5e-12], pts, 1e-8)
+    assert not verify_equidistant([0.5e-12, 0.6e-12], pts, 1e-8)
 
 
 # --- circumcenter (total) ---------------------------------------------------
@@ -294,6 +297,42 @@ def test_invariant_under_rotation_translation_permutation(case):
         assert_same_outcome(permuted, base.center, base.radius, tol)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(point_sets(), st.integers(3, 8))
+def test_translation_covariant_far_from_origin(case, k):
+    # Every decision is relative to the set, not to its distance from
+    # the origin; moving it by |t| = 10^k only adds the rounding noise
+    # of coordinates of that size.
+    rng, pts = case
+    t = rng.normal(size=pts.shape[1])
+    t *= 10.0**k / np.linalg.norm(t)
+    base = circumcenter(pts)
+    center = None if base.is_empty else base.center + t
+    tol = 1e-9 * diameter(pts) + 1e3 * np.finfo(float).eps * 10.0**k
+    assert_same_outcome(circumcenter(pts + t), center, base.radius, tol)
+
+
+def test_far_from_origin_examples():
+    t = np.array([1e6, 1e6])
+    # Two points 1e-4 apart at 1e6 keep their midpoint.
+    out = circumcenter([[1e6, 0], [1e6, 1e-4]])
+    assert_same_outcome(out, [1e6, 5e-5], 5e-5, 1e-15)
+    # A thin but non-degenerate triangle: center (0.5, 10000.00005).
+    tri = np.array([[0, 0], [1, 0], [2, 1e-4]]) + t
+    for out in (circumcenter(tri), circumcenter_three(*tri)):
+        assert_same_outcome(out, [0.5, 10000.00005] + t, 10000.0, 0.1)
+    # Four points off a circle by 1e-3 have no circumcenter.
+    assert circumcenter(np.array([[1, 0], [0, 1], [-1, 0], [0, -1.001]]) + t).is_empty
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_huge_points_with_finite_differences():
+    # |p|^2 overflows but the difference does not: the noise scale is
+    # measured with rescaling, so the pair keeps its midpoint.
+    out = circumcenter([[1e160, 0], [1e160, 1e152]])
+    assert_same_outcome(out, [1e160, 5e151], 5e151, 1e140)
+
+
 def assert_scale_covariant(pts, lam):
     base = circumcenter(pts)
     center = None if base.is_empty else lam * base.center
@@ -302,37 +341,28 @@ def assert_scale_covariant(pts, lam):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(point_sets(), st.integers(-6, 12))
+@given(point_sets(), st.integers(-12, 150))
 def test_scale_covariant(case, k):
     assert_scale_covariant(case[1], 10.0**k)
 
 
-# ROADMAP item 5: the tolerances of dedup and verification have an
-# absolute `1 +` floor, so below about 1e-6 they stop scaling with the
-# set. Strict, so that the marks must go once the defect is mended.
-SMALL_SCALE_DEFECT = (
-    "ROADMAP item 5: the absolute `1 + diameter` floor of the dedup and "
-    "verification tolerances breaks scale invariance for small sets"
-)
-
-
-@pytest.mark.xfail(strict=True, reason=SMALL_SCALE_DEFECT)
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(point_sets(), st.integers(-12, -7))
 def test_scale_covariant_below_1e_6(case, k):
-    # Generic sets of m = n + 2 points read Exists from about 1e-7 down.
+    # Generic sets of m = n + 2 points stay Empty however small: no
+    # tolerance has an absolute floor.
     assert_scale_covariant(case[1], 10.0**k)
 
 
-@pytest.mark.xfail(strict=True, reason=SMALL_SCALE_DEFECT)
 @pytest.mark.parametrize("k", [-10, -11, -12])
 def test_small_right_triangle_is_not_collapsed(k):
-    # The right triangle of acceptance 01 dedups to one point and reads
-    # Exists with center 0 and radius 0.
+    # The right triangle of acceptance 01 keeps its three points and
+    # its center at any scale, not collapsing to center 0, radius 0.
     lam = 10.0**k
-    out = circumcenter(lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    pts = lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     expected = lam * np.array([0.5, 0.5])
-    assert_same_outcome(out, expected, lam * math.sqrt(0.5), 1e-9 * lam)
+    for out in (circumcenter(pts), circumcenter_three(*pts)):
+        assert_same_outcome(out, expected, lam * math.sqrt(0.5), 1e-9 * lam)
 
 
 # --- circumcenter_three -----------------------------------------------------

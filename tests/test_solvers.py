@@ -294,6 +294,35 @@ def test_run_two_lines_raw_z_one_step():
     assert trace.dists[1] <= 1e-10
 
 
+@pytest.mark.parametrize("method", [Method.CDRM, Method.CRM])
+def test_run_default_config_converges_past_dedup_floor(method):
+    # Reflection points are told apart relative to their magnitude, and
+    # this problem's solution is the origin, so the run reaches a real
+    # step_tol. An absolute dedup floor of about 1e-10 collapses them
+    # onto x at a distance of about 5e-11 and stops the run on a step of
+    # exactly 0.
+    prob = generate_two_subspace(50, 10, 10, 0.8, seed=7)
+    trace = run(method, prob, SolverConfig())
+    assert trace.reason == "step_tol"
+    assert trace.step_norms[-1] > 0.0
+    assert trace.dists[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("method", [Method.CDRM, Method.CRM])
+@pytest.mark.parametrize("shift", [1e2, 1e4])
+def test_run_default_config_converges_off_origin(method, shift):
+    # Moved away from the origin, the reflection points are still told
+    # apart relative to each other, down to the rounding noise of
+    # coordinates of size |shift|: an absolute dedup floor stops the run
+    # at about 5e-11, a floor of 1e-10 x |x| at about 1e-10 x |shift|.
+    base = generate_two_subspace(50, 10, 10, 0.8, seed=7)
+    c = np.full(50, shift / np.sqrt(50))
+    sets = [AffineSubspace(base=s.base + c, onb=s.onb) for s in base.subspaces]
+    trace = run(method, Problem(sets, base.z + c), SolverConfig())
+    assert trace.reason == "step_tol"
+    assert trace.dists[-1] <= 1e-13 * shift
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_overflowing_step_is_degenerate_not_converged():
