@@ -9,6 +9,18 @@ is a value, not an error.
 Every tolerance here is relative to the set itself, plus the rounding
 noise of its points (see linalg), so outcomes are covariant under
 scaling and translation.
+
+A set of any size is solved by one Gram-Schmidt sweep over the
+differences p_i - p_1 (linalg._gram_schmidt), which drops duplicates
+and dependent differences and solves for the center by forward
+substitution. Three points, the step of the two-set
+circumcentered-reflection method, take a path of their own: the Gram
+matrix of a = p_2 - p_1 and b = p_3 - p_1 from one product, the
+residual r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
+forward-substitution rules for those two rows in scalar arithmetic.
+It settles every triple itself, duplicates, collinear and overflowing
+ones included. Both paths end in the same equidistance check against
+every point.
 """
 
 from __future__ import annotations
@@ -186,23 +198,73 @@ def verify_equidistant(p, points, tol: float) -> bool:
     return _equidistant(np.linalg.norm(P - p, axis=1), tol, _noise(P))
 
 
-def _ill_posed(rho: np.ndarray, top: float) -> bool:
-    """A kept difference this close to the span of the earlier ones
-    leaves the system too ill-conditioned to trust its solution."""
-    return rho.min(initial=math.inf) ** 2 <= DEFAULT_PIVOT_TOL * top
+def _ill_posed(pivot: float, top: float) -> bool:
+    """A kept difference whose squared residual against the earlier ones
+    is at most this pivot leaves the system too ill-conditioned to trust
+    its solution."""
+    return pivot <= DEFAULT_PIVOT_TOL * top
+
+
+def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
+    """The sweep's center of three points in one pass; None for Empty.
+
+    With a = p_2 - p_1 and b = p_3 - p_1, a is kept when |a| exceeds
+    the sweep's threshold, and b when its residual r = b - k a,
+    k = a.b / a.a, does too. The sweep's forward substitution for the
+    two rows is then p_1 + (1/2 - t k) a + t b, t = (b.b - a.b) / (2 r.r).
+    r is formed explicitly, so small angles are not lost in the noise
+    floor of the squared Gram determinant. One kept row gives its
+    midpoint, none gives p_1.
+    """
+    x = P[0]
+    D = P[1:] - x
+    (aa, ab), (_, bb) = (D @ D.T).tolist()
+    top = max(aa, bb)
+    if not top < math.inf:
+        return None
+    a, b = D
+    threshold = max(tol * math.sqrt(top), noise)
+    if math.sqrt(aa) > threshold:
+        k = ab / aa
+        r = b - k * a
+        rr = float(r @ r)
+        if math.sqrt(rr) > threshold:
+            if _ill_posed(min(aa, rr), top):
+                return None
+            t = (bb - ab) / (2.0 * rr)
+            return x + (0.5 - t * k) * a + t * b
+        return None if _ill_posed(aa, top) else x + 0.5 * a
+    if math.sqrt(bb) > threshold:
+        return x + 0.5 * b
+    return x.copy()
+
+
+def _sweep(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
+    """The center of any number of points by one Gram-Schmidt sweep;
+    None for Empty.
+
+    A duplicate's difference, like a dependent one, leaves a residual
+    within tol of the largest difference, or within the noise, so this
+    one sweep also dedups.
+    """
+    _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], tol, noise)
+    if not top < math.inf or _ill_posed(rho.min(initial=math.inf) ** 2, top):
+        return None
+    return P[0] + y @ Q
 
 
 def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
     """circumcenter() of a nonempty (m, n) array; non-finite entries
     (from overflowing reflections) give Empty."""
     noise = _noise(P)
-    # A duplicate's difference, like a dependent one, leaves a residual
-    # within rank_tol of the largest difference, or within the noise, so
-    # this one sweep also dedups.
-    _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], cfg.rank_tol, noise)
-    if not (noise < math.inf and top < math.inf) or _ill_posed(rho, top):
+    if not noise < math.inf:
         return CircumOutcome.empty()
-    center = P[0] + y @ Q
+    if len(P) == 3:
+        center = _three(P, cfg.rank_tol, noise)
+    else:
+        center = _sweep(P, cfg.rank_tol, noise)
+    if center is None:
+        return CircumOutcome.empty()
     R = P - center
     dists = np.sqrt(np.einsum("ij,ij->i", R, R))
     if not _equidistant(dists, cfg.verify_tol, noise):
@@ -217,11 +279,13 @@ def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     index order, keeps a maximal affinely independent subset with the
     same hull and solves for its circumcenter in the same pass; a
     duplicate's difference has no residual, so the sweep drops it like a
-    dependent one. The candidate is then verified against every point.
-    Both decisions are relative to the set, up to the rounding noise of
-    its points (see CircumConfig), so the outcome is covariant under
-    scaling and translation. Any degeneracy, including differences whose
-    squared norms overflow, yields Empty.
+    dependent one. Three points take the same decisions and the same
+    forward substitution in one pass of scalar arithmetic (see
+    circumcenter_three). The candidate is then verified against every
+    point. Both decisions are relative to the set, up to the rounding
+    noise of its points (see CircumConfig), so the outcome is covariant
+    under scaling and translation. Any degeneracy, including differences
+    whose squared norms overflow, yields Empty.
     """
     P = as_points(points)
     if not len(P):
@@ -235,37 +299,22 @@ def circumradius(points, cfg: CircumConfig = CircumConfig()) -> float:
 
 
 def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
-    """Circumcenter of three points in any dimension, by closed form.
+    """circumcenter() of three points in any dimension.
 
-    Three affinely independent points use the closed form
+    Three affinely independent points have the circumcenter
 
         ( ||y-z||^2 <x-z, x-y> x + ||x-z||^2 <y-z, y-x> y
           + ||x-y||^2 <z-x, z-y> z ) / K,
         K = 2 (||y-x||^2 ||z-x||^2 - <y-x, z-x>^2),
 
-    where K is twice the Gram determinant of the differences. Which
-    points coincide and which are independent is decided by the same
-    sweep as circumcenter(), and any other set (duplicates, collinear or
-    ill-conditioned points, overflow) gets circumcenter()'s outcome.
+    where K is twice the Gram determinant of a = y - x and b = z - x.
+    circumcenter() computes this point from the residual r = b - k a,
+    k = <a, b> / ||a||^2, as x + (1/2 - t k) a + t b = x + a/2 + t r with
+    t = (||b||^2 - <a, b>) / (2 ||r||^2); ||a||^2 ||r||^2 is that Gram
+    determinant without its squared form's rounding. Duplicates, collinear and ill-conditioned points and
+    overflow are decided as for any set.
     """
-    P = as_points([x, y, z])
-    x, y, z = P
-    kept, _, rho, _, top = _gram_schmidt(P[1:] - x, cfg.rank_tol, _noise(P))
-    if len(kept) < 2 or _ill_posed(rho, top):
-        return _circumcenter(P, cfg)
-    a = y - x
-    b = z - x
-    na2 = float(a @ a)
-    # K via the residual of b against a: ||r||^2 * ||a||^2 equals the
-    # Gram determinant exactly but does not drown small angles in the
-    # eps * ||a||^2 ||b||^2 noise floor of the squared form.
-    r = b - (float(a @ b) / na2) * a
-    K = 2.0 * na2 * float(r @ r)
-    wx = float((y - z) @ (y - z)) * float((x - z) @ (x - y))
-    wy = float((x - z) @ (x - z)) * float((y - z) @ (y - x))
-    wz = float((x - y) @ (x - y)) * float((z - x) @ (z - y))
-    center = (wx * x + wy * y + wz * z) / K
-    return CircumOutcome.exists(center, np.linalg.norm(P - center, axis=1).mean())
+    return _circumcenter(as_points([x, y, z]), cfg)
 
 
 def cross3(u, v) -> np.ndarray:

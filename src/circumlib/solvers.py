@@ -11,6 +11,10 @@ dimension) and call private kernels that trust their arrays; `run`
 validates its starting point once, iterates on the same kernels and
 checks each new iterate and the numbers it records for finiteness
 instead, so a run and the public steps compute the same numbers.
+Every kernel takes x together with its projection P_{U_1} x onto the
+first set, which all four methods need: `run` computes it once per
+iterate, to measure x (for dr, as its shadow), and hands it to the next
+step, so x_k is projected onto U_1 once per iteration.
 """
 
 from __future__ import annotations
@@ -165,54 +169,62 @@ def _circumcenter_of(points: list[np.ndarray]) -> np.ndarray:
 
 def _point_for(subspaces, x) -> np.ndarray:
     """x validated once against every set a step visits."""
+    if not subspaces:
+        raise ValueError("a step needs at least one set")
     for s in subspaces:
         x = _point_of(s, x)
     return x
 
 
-# Step kernels: x is a finite vector of the sets' ambient space.
+# Step kernels: x is a finite vector of the sets' ambient space and p is
+# its projection onto the first set, which run() has already computed to
+# measure x.
 
 
-def _crm(subspaces, x: np.ndarray) -> np.ndarray:
+def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case."""
-    points = [x]
-    for s in subspaces:
-        x = _reflect(s, x)
-        points.append(x)
+    y = 2.0 * p - x
+    points = [x, y]
+    for s in subspaces[1:]:
+        y = _reflect(s, y)
+        points.append(y)
     return _circumcenter_of(points)
 
 
-def _dr(U: AffineSubspace, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
-    pu = _project(U, x)
-    return x - pu + _project(V, 2.0 * pu - x)
+def _dr(V: AffineSubspace, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return x - p + _project(V, 2.0 * p - x)
 
 
-def _map(subspaces, x: np.ndarray) -> np.ndarray:
-    for s in subspaces:
-        x = _project(s, x)
-    return x
+def _map(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    for s in subspaces[1:]:
+        p = _project(s, p)
+    return p
 
 
 def cdrm_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Circumcenter of {x, R_U x, R_V R_U x}."""
-    return _crm((U, V), _point_for((U, V), x))
+    x = _point_for((U, V), x)
+    return _crm((U, V), x, _project(U, x))
 
 
 def crm_step(subspaces, x) -> np.ndarray:
     """Circumcenter of x and its successive reflections through all sets."""
     subspaces = list(subspaces)
-    return _crm(subspaces, _point_for(subspaces, x))
+    x = _point_for(subspaces, x)
+    return _crm(subspaces, x, _project(subspaces[0], x))
 
 
 def dr_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Douglas-Rachford: x - P_U x + P_V(2 P_U x - x)."""
-    return _dr(U, V, _point_for((U, V), x))
+    x = _point_for((U, V), x)
+    return _dr(V, x, _project(U, x))
 
 
 def map_step(subspaces, x) -> np.ndarray:
     """One sweep of cyclic projections."""
     subspaces = list(subspaces)
-    return _map(subspaces, _point_for(subspaces, x))
+    x = _point_for(subspaces, x)
+    return _map(subspaces, x, _project(subspaces[0], x))
 
 
 def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
@@ -250,6 +262,11 @@ def run(
     reflections included, raises DegenerateStep. dr traces also carry
     the shadow sequence P_{U_1} x_k and measure distances and residuals
     on it.
+
+    Each iterate x_k is projected onto U_1 once: that projection gives
+    its residual against U_1 (for dr, its shadow) and is handed to the
+    next step, where it yields R_1 x_k = 2 P_{U_1} x_k - x_k for cdrm
+    and crm, dr's P_U x_k and map's first projection.
     """
     method = Method(method)
     if method in (Method.CDRM, Method.DR) and problem.num_sets != 2:
@@ -258,42 +275,50 @@ def run(
     sets = problem.subspaces
     U, V = sets[0], sets[1]
     if method in (Method.CDRM, Method.CRM):
-        step = lambda x: _crm(sets, x)
+        step = lambda x, p: _crm(sets, x, p)
     elif method is Method.DR:
-        step = lambda x: _dr(U, V, x)
+        step = lambda x, p: _dr(V, x, p)
     else:
-        step = lambda x: _map(sets, x)
+        step = lambda x, p: _map(sets, x, p)
 
     shadowed = method is Method.DR
     solution = problem.solution
     trace = SolverTrace(method=method, shadows=[] if shadowed else None)
 
-    def record(x: np.ndarray) -> bool:
-        """Append x with its shadow, dist and residual; False, appending
-        nothing, when one of them is not finite (an overflow)."""
-        obs = _project(U, x) if shadowed else x
-        if shadowed and not np.isfinite(obs).all():
-            return False
+    def record(x: np.ndarray) -> np.ndarray | None:
+        """Append x with its shadow, dist and residual and return
+        P_{U_1} x for the next step; None, appending nothing, when one
+        of them is not finite (an overflow)."""
+        p = _project(U, x)
+        if shadowed:
+            if not np.isfinite(p).all():
+                return None
+            obs = p
+            residual = max(_distance(s, obs) for s in sets)
+        else:
+            obs = x
+            residual = max(_norm(x - p), *(_distance(s, x) for s in sets[1:]))
         dist = _norm(obs - solution)
-        residual = max(_distance(s, obs) for s in sets)
         if not (math.isfinite(dist) and math.isfinite(residual)):
-            return False
+            return None
         trace.iterates.append(x)
         if shadowed:
             trace.shadows.append(obs)
         trace.dists.append(dist)
         trace.residuals.append(residual)
-        return True
+        return p
 
     x = as_vector(_initial_point(problem, cfg.initializer))
-    if not record(x):
+    p = record(x)
+    if p is None:
         raise ValueError("the starting point's shadow, distance or residual overflows")
 
     reason = "max_iter"
     for k in range(cfg.max_iter):
-        x_next = step(x)
+        x_next = step(x, p)
         step_norm = _norm(x_next - x) if np.isfinite(x_next).all() else math.inf
-        if not (step_norm < math.inf and record(x_next)):
+        p = record(x_next) if step_norm < math.inf else None
+        if p is None:
             reason = "non_finite"
             break
         x = x_next

@@ -400,6 +400,98 @@ def test_three_point_existence_matches_independence():
         assert (not out.is_empty) == expect
 
 
+def sine_triple(rng, n, sin, la=1.0, lb=1.0):
+    """x, x + a, x + b in R^n with |a| = la, |b| = lb and the sine of
+    the angle between a and b equal to sin, in a random orientation."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
+    u, v = q.T
+    x = rng.normal(size=n)
+    b = lb * (math.sqrt(1.0 - sin * sin) * u + sin * v)
+    return np.array([x, x + la * u, x + b])
+
+
+def three_point_cases(rng):
+    """(label, triple, angle sine or None) for the m = 3 path."""
+    cases = []
+    for n in (2, 3, 7, 50):
+        x, y, z = rng.normal(size=(3, n))
+        cases.append(("generic", np.array([x, y, z]), None))
+        for lab, t in (
+            ("dup 12", [x, x, z]),
+            ("dup 13", [x, y, x]),
+            ("dup 23", [x, y, y]),
+            ("dup all", [x, x, x]),
+        ):
+            cases.append((lab, np.array(t), None))
+        # Near-duplicates: a copy moved by 1e-13 of its norm.
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            t = np.array([x, y, z])
+            d = rng.normal(size=n)
+            t[j] = t[i] + 1e-13 * np.linalg.norm(t[i]) * d / np.linalg.norm(d)
+            cases.append((f"near-dup {i}{j}", t, None))
+        # Near-collinear on both sides of rank_tol = 1e-10, and
+        # ill-posed on both sides of DEFAULT_PIVOT_TOL = 1e-12 (pivot
+        # sin^2 |b|^2 against max(|a|, |b|)^2).
+        for sin in (1e-11, 1e-9, 5e-7, 2e-6, 1e-4):
+            for la, lb in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)):
+                cases.append((f"sin {sin:g}", sine_triple(rng, n, sin, la, lb), sin))
+        # Exactly collinear, and the far point first.
+        cases.append(("collinear", np.array([x, x + (y - x), x + 3.0 * (y - x)]), 0.0))
+        cases.append(("collinear far first", np.array([x + 3.0 * (y - x), x, y]), 0.0))
+    return cases
+
+
+def assert_three_matches_sweep(pts, sin=None):
+    # The copy of the first point makes the set m = 4, which takes the
+    # general sweep; it adds a zero difference and a repeated distance.
+    three = circumcenter(pts)
+    ref = circumcenter(np.vstack([pts, pts[:1]]))
+    assert three.is_empty == ref.is_empty
+    if ref.is_empty:
+        return
+    scale = max(np.linalg.norm(ref.center), ref.radius)
+    # Near the pivot tolerance the center itself has condition about
+    # 1 / sin, so any two stable routes differ by a few eps / sin
+    # relative: up to 4.1e-10 at sin 1.2e-6 (300 seeded triples), and
+    # the sweep's own error against exact arithmetic is 5e-11 there.
+    tol = 1e-12 + (16 * np.finfo(float).eps / sin if sin else 0.0)
+    assert np.linalg.norm(three.center - ref.center) <= tol * scale
+    assert abs(three.radius - ref.radius) <= tol * scale
+
+
+# At 1e150 the sin 2e-6 triples have radius about 2.5e155, whose square
+# overflows in the verification: Empty on both paths, with a warning.
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("k", [-12, -6, 0, 6, 50, 150])
+def test_three_point_path_matches_sweep(k):
+    rng = np.random.default_rng(1007 + k)
+    lam = 10.0**k
+    for label, pts, sin in three_point_cases(rng):
+        for shift in (0.0, 1e3, 1e8):
+            t = rng.normal(size=pts.shape[1])
+            t *= shift / np.linalg.norm(t)
+            moved = lam * pts + t
+            try:
+                assert_three_matches_sweep(moved, sin)
+            except AssertionError as exc:
+                raise AssertionError(f"{label}, shift {shift:g}") from exc
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_three_point_path_overflow():
+    # |p|^2 overflows but the differences do not: Exists by the noise
+    # scale's rescaled fallback, as with the general sweep.
+    x = np.array([1e160, 0.0])
+    y = np.array([1e160, 1e152])
+    for pts in ([x, y, x], [x, x, y], [x, y, y]):
+        assert_three_matches_sweep(np.array(pts))
+        assert_same_outcome(circumcenter(pts), [1e160, 5e151], 5e151, 1e140)
+    # Differences whose squares overflow give Empty on both paths.
+    pts = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]])
+    assert circumcenter(pts).is_empty
+    assert_three_matches_sweep(pts)
+
+
 def test_three_point_agrees_with_general_path():
     rng = np.random.default_rng(16)
     for _ in range(200):

@@ -1,5 +1,7 @@
 """Tests for the reflection solvers, trace machinery, and rate estimation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ from circumlib import (
     reflect,
     run,
 )
+
+# The package re-exports run and the steps; the module itself is fetched
+# by its dotted path so that its kernels can be wrapped.
+solvers_mod = importlib.import_module("circumlib.solvers")
 
 
 def line2(theta, base=(0.0, 0.0)):
@@ -115,6 +121,9 @@ def test_public_steps_validate_x():
             step([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="non-finite"):
             step([np.nan, 1.0])
+    for step in (crm_step, map_step):
+        with pytest.raises(ValueError, match="at least one set"):
+            step([], [1.0, 2.0])
 
 
 def test_cdrm_two_lines_one_step():
@@ -546,3 +555,43 @@ def test_rate_cdrm_bounded_by_friedrichs():
         SolverConfig(max_iter=2000, initializer=Initializer.PROJECT_FIRST_SET),
     )
     assert estimate_rate(trace) <= 0.85
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_run_projects_each_iterate_onto_the_first_set_once(monkeypatch, method):
+    # The measurement of x_k projects it onto U_1 (for dr that is the
+    # shadow) and hands the projection to the next step, so no kernel
+    # projects or reflects x_k through U_1 a second time.
+    prob = generate_two_subspace(40, 10, 12, 0.8, seed=16)
+    U = prob.subspaces[0]
+    seen = []
+    for name in ("_project", "_reflect", "_distance"):
+        def counted(s, x, inner=getattr(solvers_mod, name)):
+            if s is U:
+                seen.append(x.copy())
+            return inner(s, x)
+
+        monkeypatch.setattr(solvers_mod, name, counted)
+    trace = run(method, prob, SolverConfig(max_iter=12))
+    assert trace.num_steps == 12
+    for x in trace.iterates:
+        assert sum(np.array_equal(x, y) for y in seen) == 1
+
+
+@pytest.mark.parametrize("cf", [0.5, 0.8, 0.95])
+def test_rates_match_theory(cf):
+    # map converges at cf^2 (Kayalar and Weinert 1988), dr at cf
+    # (Bauschke et al. 2014), and cdrm faster than map (Arefidamghani
+    # et al. 2021). Over seeds 1-20 the measured spread is: map/cf^2 in
+    # [0.959, 1.000], dr/cf in [0.966, 1.070], cdrm/map at most 0.91
+    # (cf = 0.95). The map and dr margins are about twice the largest
+    # deviation; cdrm must stay 5% below map.
+    for seed in range(1, 11):
+        prob = generate_two_subspace(50, 10, 10, cf, seed=seed)
+        rate = {
+            m: estimate_rate(run(m, prob, SolverConfig(max_iter=2000)))
+            for m in (Method.MAP, Method.DR, Method.CDRM)
+        }
+        assert rate[Method.MAP] == pytest.approx(cf**2, rel=0.08)
+        assert rate[Method.DR] == pytest.approx(cf, rel=0.12)
+        assert rate[Method.CDRM] <= 0.95 * rate[Method.MAP]
