@@ -1,11 +1,17 @@
 """Problem generation and JSON file formats.
 
 Random instances come from an explicitly specified xorshift64* stream,
-so the raw random numbers behind a seed are identical on every platform
-and regeneration on one installation is bit-identical; nothing here
-depends on numpy's generator state. Files are plain JSON with floats
-written in shortest round-trip decimal form, which preserves every bit
-on reload.
+so the raw random words behind a seed are identical on every platform;
+nothing here depends on numpy's generator state. The stream is drawn in
+batches: a GF(2) jump matrix splits it into lanes that numpy steps
+together, and the normals take log, cos and sin from math, so a batch
+equals the scalar draws bit for bit. The normals go through libm and the
+random frame through LAPACK's QR, so a generated instance is
+bit-identical on one installation, not across platforms.
+
+Files are JSON indented by two spaces, with each vector on one line and
+floats written in shortest round-trip decimal form, which preserves
+every bit on reload.
 """
 
 from __future__ import annotations
@@ -32,12 +38,55 @@ class ParseError(ValueError):
     """A points or problem file failed to parse or validate."""
 
 
+def _step(x: int) -> int:
+    """One xorshift64 state transition (all mod 2^64)."""
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & _MASK64
+    return x ^ (x >> 27)
+
+
+# The transition is linear over GF(2): a 64x64 bit matrix, stored as the
+# images of the 64 unit words (its columns).
+_STEP_COLUMNS = np.array([_step(1 << i) for i in range(64)], dtype=np.uint64)
+
+
+def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Images of the 64-bit words under the bit matrix with these columns.
+
+    Applied to the columns of another matrix, it gives the columns of
+    the product, so it also composes jumps.
+    """
+    bits = np.unpackbits(
+        words.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
+    return np.bitwise_xor.reduce(np.where(bits == 1, columns, np.uint64(0)), axis=1)
+
+
+def _jump(steps: int) -> np.ndarray:
+    """Columns of the transition raised to the power steps >= 1, by squaring."""
+    result = _STEP_COLUMNS
+    for bit in bin(steps)[3:]:
+        result = _gf2_apply(result, result)
+        if bit == "1":
+            result = _gf2_apply(_STEP_COLUMNS, result)
+    return result
+
+
 class Xorshift64Star:
     """Deterministic 64-bit xorshift* generator.
 
     next_u64: x ^= x >> 12; x ^= x << 25; x ^= x >> 27 (all mod 2^64),
     output (x * 0x2545F4914F6CDD1D) mod 2^64. uniform() maps the top 53
-    bits to [0, 1); normals come from the Box-Muller transform.
+    bits to [0, 1); normals come from the Box-Muller transform, cos
+    first, sin kept as a spare for the next draw.
+
+    next_u64 and uniform are the scalar reference. normal, normal_vector
+    and orthogonal draw in batches with the same results bit for bit:
+    the transition is linear over GF(2), so a jump matrix splits the
+    next k states into about sqrt(k) lanes that numpy uint64 arithmetic
+    steps together, exactly. log, cos and sin go through math, one call
+    per value, because numpy's vectorized kernels may differ from libm
+    in the last bit and choose their code path from the CPU at run time.
     """
 
     def __init__(self, seed: int):
@@ -49,33 +98,61 @@ class Xorshift64Star:
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * _XORSHIFT_MULT) & _MASK64
+        self._state = _step(self._state)
+        return (self._state * _XORSHIFT_MULT) & _MASK64
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def _words(self, k: int) -> np.ndarray:
+        """The next k outputs of next_u64 as a uint64 array, in order."""
+        if k == 0:
+            return np.empty(0, dtype=np.uint64)
+        lanes = 1 << ((k - 1).bit_length() // 2)
+        steps = -(-k // lanes)
+        x = np.array([self._state], dtype=np.uint64)
+        if lanes > 1:
+            # lane i starts i * steps states ahead of the current one
+            jump = _jump(steps)
+            while x.size < lanes:
+                x = np.concatenate([x, _gf2_apply(jump, x)])
+                jump = _gf2_apply(jump, jump)
+        states = np.empty((steps, lanes), dtype=np.uint64)
+        for row in states:
+            x ^= x >> 12
+            x ^= x << 25
+            x ^= x >> 27
+            row[:] = x
+        states = states.T.ravel()[:k]
+        self._state = int(states[-1])
+        return states * np.uint64(_XORSHIFT_MULT)
+
+    def _normals(self, k: int) -> np.ndarray:
+        """The next k normals, as k calls of the scalar Box-Muller draw give."""
+        head = []
+        if k and self._spare_normal is not None:
+            head, self._spare_normal = [self._spare_normal], None
+            k -= 1
+        u = (self._words(2 * ((k + 1) // 2)) >> np.uint64(11)) * 2.0**-53
+        u1 = 1.0 - u[0::2]  # in (0, 1], keeps log finite
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float))
+        angle = (2.0 * math.pi * u[1::2]).tolist()
+        z = np.empty(u.size)
+        z[0::2] = r * np.fromiter(map(math.cos, angle), float)
+        z[1::2] = r * np.fromiter(map(math.sin, angle), float)
+        if k % 2:
+            self._spare_normal, z = float(z[-1]), z[:-1]
+        return np.concatenate([head, z])
+
     def normal(self) -> float:
-        if self._spare_normal is not None:
-            out = self._spare_normal
-            self._spare_normal = None
-            return out
-        u1 = 1.0 - self.uniform()  # in (0, 1], keeps log finite
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return r * math.cos(2.0 * math.pi * u2)
+        return float(self._normals(1)[0])
 
     def normal_vector(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
+        return self._normals(n)
 
     def orthogonal(self, n: int) -> np.ndarray:
         """Random n x n orthogonal matrix (QR of a normal matrix, signs fixed)."""
-        M = np.array([[self.normal() for _ in range(n)] for _ in range(n)])
+        M = self._normals(n * n).reshape(n, n)
         Q, R = np.linalg.qr(M)
         return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
@@ -189,12 +266,33 @@ def load_points(path: str) -> list[np.ndarray]:
     ]
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write doc indented by two spaces, each numpy vector on one line.
+
+    Vectors go through json.dumps of a plain list, which uses the C
+    encoder; json.dump with an indent falls back to the pure-Python one.
+    """
+
+    def fmt(obj, pad: str) -> str:
+        if isinstance(obj, np.ndarray):
+            return json.dumps(obj.tolist())
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = [f"{inner}{json.dumps(k)}: {fmt(v, inner)}" for k, v in obj.items()]
+        elif isinstance(obj, list) and obj:
+            items = [inner + fmt(v, inner) for v in obj]
+        else:
+            return json.dumps(obj)
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+    with open(path, "w") as fh:
+        fh.write(fmt(doc, "") + "\n")
+
+
 def save_points(path: str, points) -> None:
     pts = [np.asarray(p, dtype=float) for p in points]
-    doc = {"dim": int(pts[0].shape[0]), "points": [list(map(float, p)) for p in pts]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, {"dim": int(pts[0].shape[0]), "points": pts})
 
 
 def load_problem(path: str, intersection_tol: float = 1e-8) -> Problem:
@@ -248,13 +346,7 @@ def save_problem(
     if seed is not None:
         doc["seed"] = int(seed)
     doc["subspaces"] = [
-        {
-            "base": list(map(float, s.base)),
-            "span": [list(map(float, q)) for q in s.onb],
-        }
-        for s in problem.subspaces
+        {"base": s.base, "span": list(s.onb)} for s in problem.subspaces
     ]
-    doc["z"] = list(map(float, problem.z))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    doc["z"] = problem.z
+    _write_json(path, doc)

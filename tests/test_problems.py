@@ -11,6 +11,7 @@ from circumlib import (
     Problem,
     Xorshift64Star,
     friedrichs_cos,
+    from_span,
     generate_two_subspace,
     load_points,
     load_problem,
@@ -39,6 +40,24 @@ def ref_stream(seed, k):
         x ^= x >> 27
         out.append((x * 0x2545F4914F6CDD1D) & MASK)
     return out
+
+
+def ref_normals(seed, k):
+    """Straight transcription of Box-Muller on ref_stream: cos, then sin."""
+    words = ref_stream(seed, 2 * ((k + 1) // 2))
+    out = []
+    for w1, w2 in zip(words[0::2], words[1::2]):
+        u1 = 1.0 - (w1 >> 11) * 2.0**-53
+        u2 = (w2 >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:k]
+
+
+def ref_orthogonal(normals, n):
+    """QR of the n x n matrix of the given normals, row by row, signs fixed."""
+    Q, R = np.linalg.qr(np.array(normals).reshape(n, n))
+    return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
 
 # generator
@@ -116,6 +135,46 @@ def test_normal_moments():
     assert 0.95 <= xs.std() <= 1.05
 
 
+def test_batch_words_match_reference():
+    sizes = (0, 1, 2, 63, 64, 65, 1000, 40200)
+    for seed in (0, 1, 42, 2**63, 123456789):
+        ref = ref_stream(seed, max(sizes) + 1)
+        for k in sizes:
+            g = Xorshift64Star(seed)
+            words = g._words(k)
+            assert words.dtype == np.uint64
+            assert words.tolist() == ref[:k]
+            # the scalar stream continues where the batch stopped
+            assert g.next_u64() == ref[k]
+
+
+def test_normal_vector_matches_reference():
+    # odd sizes leave a spare normal that the next draw must use first
+    sizes = (3, 4, 1, 0, 6, 5, 1000, 1, 2, 7)
+    for seed in (0, 7, 2**63):
+        g = Xorshift64Star(seed)
+        got = []
+        for k in sizes:
+            v = g.normal_vector(k)
+            assert v.shape == (k,) and v.dtype == np.float64
+            got += v.tolist()
+        got.append(g.normal())
+        total = sum(sizes) + 1
+        assert got == ref_normals(seed, total)
+        # an even count leaves no spare, so no word was drawn ahead
+        assert total % 2 == 0
+        assert g.next_u64() == ref_stream(seed, total + 1)[total]
+
+
+def test_orthogonal_matches_reference():
+    for n in (1, 3, 5, 12):
+        g = Xorshift64Star(13)
+        ref = ref_normals(13, n * n + 4)
+        assert np.array_equal(g.orthogonal(n), ref_orthogonal(ref[: n * n], n))
+        # an odd n * n carries a spare into the next vector
+        assert g.normal_vector(4).tolist() == ref[n * n :]
+
+
 def test_orthogonal_matrix():
     g = Xorshift64Star(11)
     for n in (1, 2, 5, 12):
@@ -172,6 +231,27 @@ def test_generate_deterministic():
     for sa, sb in zip(a.subspaces, b.subspaces):
         assert np.array_equal(sa.onb, sb.onb)
         assert np.array_equal(sa.base, sb.base)
+
+
+def test_generate_matches_reference_construction():
+    for n, d, cf, seed in ((7, 3, 0.6, 5), (200, 50, 0.8, 7)):
+        normals = ref_normals(seed, n * n + n)
+        Q = ref_orthogonal(normals[: n * n], n)
+        u_dirs = [Q[:, 2 * i] for i in range(d)]
+        v_dirs = []
+        for i in range(d):
+            c = cf * (d - i) / d
+            v_dirs.append(c * Q[:, 2 * i] + math.sqrt(1.0 - c * c) * Q[:, 2 * i + 1])
+        zero = np.zeros(n)
+        want = Problem(
+            [from_span(zero, u_dirs), from_span(zero, v_dirs)],
+            np.array(normals[n * n :]),
+        )
+        got = generate_two_subspace(n, d, d, cf, seed)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.solution, want.solution)
+        for a, b in zip(got.subspaces, want.subspaces):
+            assert np.array_equal(a.onb, b.onb)
 
 
 def test_generate_validates_arguments():
@@ -283,6 +363,35 @@ def test_problem_roundtrip_values(tmp_path):
         assert np.abs(sa.onb @ sa.onb.T - np.eye(sa.dim)).max() <= 1e-12
         proj = sb.onb.T @ (sb.onb @ sa.onb.T)
         assert np.abs(proj - sa.onb.T).max() <= 1e-10
+
+
+def test_files_put_each_vector_on_one_line(tmp_path):
+    prob = generate_two_subspace(9, 3, 4, 0.5, seed=3)
+    path = tmp_path / "p.json"
+    save_problem(str(path), prob, seed=3)
+    lines = [line.strip().rstrip(",") for line in path.read_text().splitlines()]
+    vectors = [prob.z] + [v for s in prob.subspaces for v in (s.base, *s.onb)]
+    for v in vectors:
+        assert any(line.endswith(json.dumps(v.tolist())) for line in lines)
+    # braces, brackets and the scalar fields take one line each
+    assert len(lines) == len(vectors) + 14
+
+    doc = json.loads(path.read_text())
+    assert np.array(doc["z"]).tobytes() == prob.z.tobytes()
+    for sub, orig in zip(doc["subspaces"], prob.subspaces):
+        assert np.array(sub["base"]).tobytes() == orig.base.tobytes()
+        assert np.array(sub["span"]).tobytes() == orig.onb.tobytes()
+    back = load_problem(str(path))
+    assert back.z.tobytes() == prob.z.tobytes()
+    for a, b in zip(back.subspaces, prob.subspaces):
+        assert a.base.tobytes() == b.base.tobytes()
+
+    pts = [np.array([1.0 / 3.0, -0.0]), np.array([1e-300, 2.0])]
+    save_points(str(path), pts)
+    assert path.read_text() == (
+        '{\n  "dim": 2,\n  "points": [\n'
+        "    [0.3333333333333333, -0.0],\n    [1e-300, 2.0]\n  ]\n}\n"
+    )
 
 
 def test_problem_missing_field(tmp_path):
