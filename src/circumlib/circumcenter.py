@@ -133,10 +133,10 @@ def _noise(P: np.ndarray) -> float:
     return _NOISE * s
 
 
-def _equidistant(dists: np.ndarray, tol: float, noise: float) -> bool:
-    """The spread of dists is at most tol * (largest distance) + noise."""
-    hi = dists.max()
-    return bool(hi - dists.min() <= tol * hi + noise)
+def _equidistant(lo: float, hi: float, tol: float, noise: float) -> bool:
+    """Distances from lo to hi agree: the largest, hi, is finite and the
+    spread hi - lo is at most tol * hi + noise."""
+    return hi < math.inf and hi - lo <= tol * hi + noise
 
 
 def diameter(points) -> float:
@@ -195,7 +195,8 @@ def verify_equidistant(p, points, tol: float) -> bool:
         raise DimensionMismatch(
             f"point has length {p.shape[0]}, set has length {P.shape[1]}"
         )
-    return _equidistant(np.linalg.norm(P - p, axis=1), tol, _noise(P))
+    dists = np.linalg.norm(P - p, axis=1)
+    return _equidistant(float(dists.min()), float(dists.max()), tol, _noise(P))
 
 
 def _ill_posed(pivot: float, top: float) -> bool:
@@ -267,7 +268,13 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
         return CircumOutcome.empty()
     R = P - center
     dists = np.sqrt(np.einsum("ij,ij->i", R, R))
-    if not _equidistant(dists, cfg.verify_tol, noise):
+    hi = float(dists.max())
+    if not hi < math.inf:
+        # A squared distance overflowed (a radius above about 1e154):
+        # measure every distance again with rescaling.
+        dists = np.array([_norm(r) for r in R])
+        hi = float(dists.max())
+    if not _equidistant(float(dists.min()), hi, cfg.verify_tol, noise):
         return CircumOutcome.empty()
     return CircumOutcome.exists(center, dists.sum() / len(dists))
 

@@ -11,7 +11,10 @@ bit-identical on one installation, not across platforms.
 
 Files are JSON indented by two spaces, with each vector on one line and
 floats written in shortest round-trip decimal form, which preserves
-every bit on reload.
+every bit on reload. Loading validates each vector once: the types of
+its entries in one pass, then one numpy conversion per vector (per span
+for a subspace) and one finiteness check. A failed check names the
+first offending entry, such as points[2][1].
 """
 
 from __future__ import annotations
@@ -218,20 +221,45 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
-def _as_float_list(obj, where: str, length: int | None = None) -> list[float]:
-    _require(isinstance(obj, list), f"{where} must be an array")
-    if length is not None:
-        _require(
-            len(obj) == length, f"{where} has length {len(obj)}, expected {length}"
+_NUMBER_TYPES = {int, float}
+
+
+def _finite_number(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _vectors(rows: list[tuple[str, object]], n: int) -> np.ndarray:
+    """The named vectors as one (len(rows), n) float array.
+
+    Each (where, vector) must be a JSON array of n finite numbers: int
+    or float, not bool. Each vector's entry types are checked at once,
+    then all vectors are converted at once; numpy converts an int as
+    float() does, so the bits equal a per-number conversion. The entries
+    are scanned one by one only to name the first bad one.
+    """
+    for where, v in rows:
+        _require(isinstance(v, list), f"{where} must be an array")
+        _require(len(v) == n, f"{where} has length {len(v)}, expected {n}")
+        if not set(map(type, v)) <= _NUMBER_TYPES:
+            i = next(i for i, x in enumerate(v) if type(x) not in _NUMBER_TYPES)
+            raise ParseError(f"{where}[{i}] is not a number")
+    try:
+        A = np.array([v for _, v in rows], dtype=float).reshape(len(rows), n)
+        finite = np.isfinite(A).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        where, i = next(
+            (where, i)
+            for where, v in rows
+            for i, x in enumerate(v)
+            if not _finite_number(x)
         )
-    out = []
-    for i, v in enumerate(obj):
-        _require(
-            isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{where}[{i}] is not a number",
-        )
-        out.append(float(v))
-    return out
+        raise ParseError(f"{where}[{i}] is not a finite number")
+    return A
 
 
 def _load_json(path: str) -> dict:
@@ -253,17 +281,14 @@ def load_points(path: str) -> list[np.ndarray]:
     doc = _load_json(path)
     _require("dim" in doc, f"{path}: missing field 'dim'")
     _require(
-        isinstance(doc["dim"], int) and doc["dim"] >= 1,
+        type(doc["dim"]) is int and doc["dim"] >= 1,
         f"{path}: 'dim' must be a positive integer",
     )
     _require("points" in doc, f"{path}: missing field 'points'")
     _require(isinstance(doc["points"], list), f"{path}: 'points' must be an array")
     _require(len(doc["points"]) >= 1, f"{path}: 'points' is empty")
-    n = doc["dim"]
-    return [
-        np.array(_as_float_list(p, f"points[{i}]", n))
-        for i, p in enumerate(doc["points"])
-    ]
+    rows = [(f"points[{i}]", p) for i, p in enumerate(doc["points"])]
+    return list(_vectors(rows, doc["dim"]))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -308,7 +333,7 @@ def load_problem(path: str, intersection_tol: float = 1e-8) -> Problem:
         _require(key in doc, f"{path}: missing field '{key}'")
     n = doc["dim"]
     _require(
-        isinstance(n, int) and n >= 1, f"{path}: 'dim' must be a positive integer"
+        type(n) is int and n >= 1, f"{path}: 'dim' must be a positive integer"
     )
     _require(isinstance(doc["subspaces"], list), f"{path}: 'subspaces' must be an array")
     _require(
@@ -320,14 +345,11 @@ def load_problem(path: str, intersection_tol: float = 1e-8) -> Problem:
         _require(isinstance(sub, dict), f"{path}: {where} must be an object")
         _require("base" in sub, f"{path}: {where} missing field 'base'")
         _require("span" in sub, f"{path}: {where} missing field 'span'")
-        base = _as_float_list(sub["base"], f"{where}.base", n)
+        (base,) = _vectors([(f"{where}.base", sub["base"])], n)
         _require(isinstance(sub["span"], list), f"{path}: {where}.span must be an array")
-        span = [
-            np.array(_as_float_list(v, f"{where}.span[{j}]", n))
-            for j, v in enumerate(sub["span"])
-        ]
-        subspaces.append(from_span(np.array(base), span))
-    z = np.array(_as_float_list(doc["z"], "z", n))
+        span = _vectors([(f"{where}.span[{j}]", v) for j, v in enumerate(sub["span"])], n)
+        subspaces.append(from_span(base, span))
+    (z,) = _vectors([("z", doc["z"])], n)
     try:
         return Problem(subspaces, z, intersection_tol)
     except ValueError as exc:

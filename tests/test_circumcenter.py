@@ -459,22 +459,30 @@ def assert_three_matches_sweep(pts, sin=None):
     assert abs(three.radius - ref.radius) <= tol * scale
 
 
-# At 1e150 the sin 2e-6 triples have radius about 2.5e155, whose square
-# overflows in the verification: Empty on both paths, with a warning.
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("k", [-12, -6, 0, 6, 50, 150])
 def test_three_point_path_matches_sweep(k):
     rng = np.random.default_rng(1007 + k)
     lam = 10.0**k
+    overflowing = 0
     for label, pts, sin in three_point_cases(rng):
+        unscaled = circumcenter(pts)
+        # The well-posed sin 2e-6 triples have radius about 3.7e5; at
+        # 1e150 their squared distances to the center overflow, and
+        # verification measures them again with rescaling.
+        overflowing += unscaled.radius * lam > 1e155 and not unscaled.is_empty
         for shift in (0.0, 1e3, 1e8):
             t = rng.normal(size=pts.shape[1])
             t *= shift / np.linalg.norm(t)
             moved = lam * pts + t
             try:
                 assert_three_matches_sweep(moved, sin)
+                if shift == 0.0:
+                    # Scaling alone keeps the outcome, on both paths.
+                    assert circumcenter(moved).is_empty == unscaled.is_empty
             except AssertionError as exc:
                 raise AssertionError(f"{label}, shift {shift:g}") from exc
+    assert overflowing == (4 if k == 150 else 0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -490,6 +498,36 @@ def test_three_point_path_overflow():
     pts = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]])
     assert circumcenter(pts).is_empty
     assert_three_matches_sweep(pts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_verification_rescales_only_on_overflow(monkeypatch):
+    calls = []
+    norm = cc_mod._norm
+    monkeypatch.setattr(cc_mod, "_norm", lambda v: calls.append(1) or norm(v))
+    rng = np.random.default_rng(19)
+    for m in (2, 3, 5):
+        for _ in range(20):
+            circumcenter(rng.normal(size=(m, 4)))
+    assert calls == []
+    # Three points 1e150 apart on an arc of radius 1e155: the squared
+    # differences are finite, the squared distances to the center not.
+    R = 1e155
+    phi = np.array([-1e-5, 0.0, 1e-5])
+    arc = np.column_stack([R * np.sin(phi), -2.0 * R * np.sin(phi / 2) ** 2])
+    for pts in (arc, np.vstack([arc, arc[:1]])):
+        calls.clear()
+        got = circumcenter(pts)
+        assert len(calls) == len(pts)
+        assert_same_outcome(got, [0.0, -R], R, 1e-12 * R)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "error:invalid value encountered")
+def test_verify_equidistant_rejects_overflowing_distance():
+    # Distances 1e200 (inf once squared) and 1: an infinite largest
+    # distance is never accepted, and inf - inf is never formed.
+    assert not verify_equidistant([0, 0], [[1e200, 0], [1, 0]], 1e-8)
+    assert not verify_equidistant([0, 0], [[1e200, 0], [0, 1e200], [1, 0]], 1e-8)
 
 
 def test_three_point_agrees_with_general_path():

@@ -98,6 +98,22 @@ def test_cc_bad_json(tmp_path, capsys):
     assert "line 1 column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["1e400", "1" + "0" * 400], ids=["1e400", "int400"])
+def test_cc_non_finite_entry_exit_one(tmp_path, capsys, entry):
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "points": [[0, 0], [1, 0], [0, %s]]}\n' % entry)
+    assert main(["cc", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: points[2][1] is not a finite number\n"
+
+
+def test_boolean_dim_exit_one(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": true, "points": [[0], [2]]}\n')
+    assert main(["cc", str(path)]) == 1
+    assert "'dim' must be a positive integer" in capsys.readouterr().err
+
+
 # gen
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumlib import (
     ParseError,
@@ -15,6 +17,7 @@ from circumlib import (
     generate_two_subspace,
     load_points,
     load_problem,
+    orthonormalize,
     save_points,
     save_problem,
 )
@@ -446,3 +449,198 @@ def test_problem_file_loads_to_working_instance(tmp_path):
     assert isinstance(prob, Problem)
     assert prob.num_sets == 2
     assert np.allclose(prob.solution, [0, 0], atol=1e-9)
+
+
+def test_problem_empty_span_is_a_point(tmp_path):
+    doc = {
+        "dim": 3,
+        "subspaces": [
+            {"base": [1, 2, 3], "span": []},
+            {"base": [0, 0, 0], "span": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        ],
+        "z": [0, 0, 0],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    prob = load_problem(str(path))
+    point = prob.subspaces[0]
+    assert point.dim == 0 and point.onb.shape == (0, 3)
+    assert np.array_equal(point.base, [1.0, 2.0, 3.0])
+    assert np.array_equal(prob.solution, [1.0, 2.0, 3.0])
+
+
+# loaders against a per-number reference
+
+
+def ref_vector(row):
+    """Straight transcription of a per-number load."""
+    return np.array([float(v) for v in row])
+
+
+def ref_problem(doc):
+    """The problem of a document, every vector converted by ref_vector."""
+    subspaces = [
+        from_span(ref_vector(s["base"]), [ref_vector(v) for v in s["span"]])
+        for s in doc["subspaces"]
+    ]
+    return Problem(subspaces, ref_vector(doc["z"]))
+
+
+def assert_same_problem(got, want):
+    assert np.array_equal(got.z, want.z)
+    assert np.array_equal(got.solution, want.solution)
+    for a, b in zip(got.subspaces, want.subspaces, strict=True):
+        assert np.array_equal(a.base, b.base)
+        assert np.array_equal(a.onb, b.onb)
+
+
+# Ints up to 2**1023 (2**1024 is beyond float range), ints around
+# 2**64, any finite float, and -0.0, subnormals and 2**53 + 1.
+finite_numbers = st.one_of(
+    st.integers(-(2**1023), 2**1023),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 2**53 + 1]),
+)
+
+
+def number_rows():
+    """1 to 5 rows of one length, 1 to 6."""
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(finite_numbers, min_size=n, max_size=n), min_size=1, max_size=5
+        )
+    )
+
+
+# Rows near the float limit overflow inside orthonormalize; the loaded
+# rows must still match.
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(number_rows())
+def test_loaded_numbers_match_per_number_conversion(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("prop") / "pts.json"
+    n = len(rows[0])
+    path.write_text(json.dumps({"dim": n, "points": rows}))
+    got = load_points(str(path))
+    assert len(got) == len(rows)
+    for p, row in zip(got, rows):
+        assert p.dtype == np.float64 and p.shape == (n,)
+        assert p.tobytes() == ref_vector(row).tobytes()
+    # A point on a subspace through it: the problem holds whatever the rows.
+    doc = {
+        "dim": n,
+        "subspaces": [
+            {"base": rows[0], "span": []},
+            {"base": rows[0], "span": rows},
+        ],
+        "z": rows[-1],
+    }
+    path.write_text(json.dumps(doc))
+    prob = load_problem(str(path))
+    assert prob.z.tobytes() == ref_vector(rows[-1]).tobytes()
+    for U in prob.subspaces:
+        assert U.base.tobytes() == ref_vector(rows[0]).tobytes()
+    want = orthonormalize([ref_vector(row) for row in rows])
+    got = prob.subspaces[1].onb
+    assert np.array_equal(got, np.reshape(want, got.shape), equal_nan=True)
+
+
+NOT_NUMBERS = [True, False, "1", None, [1.0], {"x": 1}]
+
+
+def test_non_number_named_by_index(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "bad.json"
+    for bad in NOT_NUMBERS:
+        m, n = (int(k) for k in rng.integers(1, 6, size=2))
+        i, j = int(rng.integers(m)), int(rng.integers(n))
+        rows = rng.normal(size=(m, n)).tolist()
+        rows[i][j] = bad
+        path.write_text(json.dumps({"dim": n, "points": rows}))
+        with pytest.raises(ParseError, match=rf"^points\[{i}\]\[{j}\] is not a number$"):
+            load_points(str(path))
+        good = rng.normal(size=n).tolist()
+        doc = {
+            "dim": n,
+            "subspaces": [{"base": good, "span": rows}, {"base": good, "span": []}],
+            "z": good,
+        }
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ParseError, match=rf"^subspaces\[0\]\.span\[{i}\]\[{j}\] is not a number$"
+        ):
+            load_problem(str(path))
+
+
+# "1" followed by 400 zeros is a JSON integer beyond float range.
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "1e400", "int400"]
+
+
+def points_text(entry):
+    return '{"dim": 2, "points": [[0, 0], [1, 0], [0, %s]]}' % entry
+
+
+def problem_text(base="0", span="1", z="1"):
+    return (
+        '{"dim": 2, "subspaces": [{"base": [0, %s], "span": [[1, %s]]},'
+        ' {"base": [0, 0], "span": [[1, 1]]}], "z": [2, %s]}' % (base, span, z)
+    )
+
+
+@pytest.mark.parametrize("entry", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_number_named(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(points_text(entry))
+    with pytest.raises(ParseError, match=r"^points\[2\]\[1\] is not a finite number$"):
+        load_points(str(path))
+    for field, where in (
+        ("base", r"subspaces\[0\]\.base\[1\]"),
+        ("span", r"subspaces\[0\]\.span\[0\]\[1\]"),
+        ("z", r"z\[1\]"),
+    ):
+        path.write_text(problem_text(**{field: entry}))
+        with pytest.raises(ParseError, match=rf"^{where} is not a finite number$"):
+            load_problem(str(path))
+
+
+def test_boolean_dim_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": true, "points": [[1], [3]]}')
+    with pytest.raises(ParseError, match="'dim' must be a positive integer"):
+        load_points(str(path))
+    doc = {
+        "dim": True,
+        "subspaces": [{"base": [0], "span": [[1]]}, {"base": [0], "span": []}],
+        "z": [1],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="'dim' must be a positive integer"):
+        load_problem(str(path))
+
+
+def planted_multi_doc(rng, n, m, w, d):
+    """m affine subspaces of R^n sharing c + span(W), W of dimension w,
+    each with d further random directions, spans in a mixed basis."""
+    c = rng.normal(size=n)
+    W = np.linalg.qr(rng.normal(size=(n, w)))[0].T
+    subspaces = []
+    for _ in range(m):
+        extra = rng.normal(size=(d, n))
+        extra -= (extra @ W.T) @ W
+        dirs = np.vstack([W, extra])
+        mix = rng.normal(size=(w + d, w + d)) + 3.0 * np.eye(w + d)
+        base = c + rng.normal(size=w + d) @ dirs
+        subspaces.append({"base": base.tolist(), "span": (mix @ dirs).tolist()})
+    return {"dim": n, "subspaces": subspaces, "z": (c + 3.0 * rng.normal(size=n)).tolist()}
+
+
+def test_files_load_as_per_number_reference(tmp_path):
+    gen = tmp_path / "gen.json"
+    save_problem(str(gen), generate_two_subspace(40, 10, 10, 0.8, seed=3), seed=3)
+    multi = tmp_path / "multi.json"
+    multi.write_text(json.dumps(planted_multi_doc(np.random.default_rng(4), 60, 4, 4, 10)))
+    for path in (gen, multi):
+        want = ref_problem(json.loads(path.read_text()))
+        assert_same_problem(load_problem(str(path)), want)
