@@ -18,9 +18,9 @@ circumcentered-reflection method, take a path of their own: the Gram
 matrix of a = p_2 - p_1 and b = p_3 - p_1 from one product, the
 residual r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
 forward-substitution rules for those two rows in scalar arithmetic.
-It settles every triple itself, duplicates, collinear and overflowing
-ones included. Both paths end in the same equidistance check against
-every point.
+It settles every triple itself, duplicates and collinear ones
+included. Both paths end in the same equidistance check against every
+point.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ import numpy as np
 from .linalg import (
     DEFAULT_PIVOT_TOL,
     DimensionMismatch,
+    _exponent,
     _gram_schmidt,
-    _norm,
+    _scaled,
     as_points,
     as_vector,
     gram,
 )
 
 DEFAULT_DEDUP_TOL_REL = 1e-9
-_BLOCK_ENTRIES = 1 << 20
 # Rounding noise of a point p, per unit of |p|: differences and distances
 # of points are not resolved more finely than _NOISE * max_i |p_i|.
 _NOISE = 64 * np.finfo(float).eps
@@ -96,41 +96,15 @@ class CircumOutcome:
         return self.center is None
 
 
-def _pairwise_distances(P: np.ndarray) -> np.ndarray:
-    """(m, m) Euclidean distances between the rows of P.
-
-    Row differences are formed for a block of rows at a time, so the
-    temporary holds about _BLOCK_ENTRIES numbers whatever m and n are.
-    """
-    rows = max(1, _BLOCK_ENTRIES // max(P.size, 1))
-    out = np.empty((len(P), len(P)))
-    for i in range(0, len(P), rows):
-        D = P[i : i + rows, None] - P
-        out[i : i + rows] = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
-    return out
+def _distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distances from x to the rows of P, at their working scale."""
+    R = P - x
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
-def _first_distinct(dist: np.ndarray, tol: float) -> list[int]:
-    """Indices of the rows farther than tol from every earlier kept row."""
-    far = (dist > tol).tolist()
-    kept: list[int] = []
-    for i, row in enumerate(far):
-        if all(row[j] for j in kept):
-            kept.append(i)
-    return kept
-
-
-def _noise(P: np.ndarray) -> float:
-    """_NOISE * max_i |p_i|, the rounding noise of the points.
-
-    Rows whose squared norms overflow are measured again with rescaling
-    (linalg._norm), so finite points have finite noise; a non-finite
-    entry gives non-finite noise.
-    """
-    s = math.sqrt(np.einsum("ij,ij->i", P, P).max(initial=0.0))
-    if not s < math.inf:
-        s = float(np.max([_norm(p) for p in P]))
-    return _NOISE * s
+def _diameter(P: np.ndarray) -> float:
+    """Largest distance between two rows of P, at their working scale."""
+    return max((_distances(P[i:], p).max() for i, p in enumerate(P)), default=0.0)
 
 
 def _equidistant(lo: float, hi: float, tol: float, noise: float) -> bool:
@@ -140,7 +114,8 @@ def _equidistant(lo: float, hi: float, tol: float, noise: float) -> bool:
 
 
 def diameter(points) -> float:
-    return float(_pairwise_distances(as_points(points)).max(initial=0.0))
+    S, e, _, _ = _scaled(as_points(points))
+    return float(np.ldexp(_diameter(S), e))
 
 
 def dedup(points, tol: float | None = None) -> list[np.ndarray]:
@@ -151,10 +126,16 @@ def dedup(points, tol: float | None = None) -> list[np.ndarray]:
     change when the set is scaled or moved.
     """
     P = as_points(points)
-    dist = _pairwise_distances(P)
+    S, e, _, top = _scaled(P)
     if tol is None:
-        tol = DEFAULT_DEDUP_TOL_REL * dist.max(initial=0.0) + _noise(P)
-    return list(P[_first_distinct(dist, tol)])
+        tol = DEFAULT_DEDUP_TOL_REL * _diameter(S) + _NOISE * math.sqrt(top)
+    elif e:
+        tol = np.ldexp(tol, -e)
+    kept: list[int] = []
+    for i, p in enumerate(S):
+        if np.all(_distances(S[kept], p) > tol):
+            kept.append(i)
+    return list(P[kept])
 
 
 def circumcenter_gram(points, pivot_tol: float | None = None) -> np.ndarray:
@@ -195,8 +176,10 @@ def verify_equidistant(p, points, tol: float) -> bool:
         raise DimensionMismatch(
             f"point has length {p.shape[0]}, set has length {P.shape[1]}"
         )
-    dists = np.linalg.norm(P - p, axis=1)
-    return _equidistant(float(dists.min()), float(dists.max()), tol, _noise(P))
+    S, _, sq, _ = _scaled(np.vstack([P, p]))
+    dists = _distances(S[:-1], S[-1])
+    noise = _NOISE * math.sqrt(sq[:-1].max())
+    return _equidistant(float(dists.min()), float(dists.max()), tol, noise)
 
 
 def _ill_posed(pivot: float, top: float) -> bool:
@@ -221,8 +204,6 @@ def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     D = P[1:] - x
     (aa, ab), (_, bb) = (D @ D.T).tolist()
     top = max(aa, bb)
-    if not top < math.inf:
-        return None
     a, b = D
     threshold = max(tol * math.sqrt(top), noise)
     if math.sqrt(aa) > threshold:
@@ -249,15 +230,16 @@ def _sweep(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     one sweep also dedups.
     """
     _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], tol, noise)
-    if not top < math.inf or _ill_posed(rho.min(initial=math.inf) ** 2, top):
+    if _ill_posed(rho.min(initial=math.inf) ** 2, top):
         return None
     return P[0] + y @ Q
 
 
 def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
-    """circumcenter() of a nonempty (m, n) array; non-finite entries
-    (from overflowing reflections) give Empty."""
-    noise = _noise(P)
+    """circumcenter() of a nonempty (m, n) array at its working scale;
+    non-finite entries (from overflowing reflections) give Empty."""
+    P, e, _, top = _scaled(P)
+    noise = _NOISE * math.sqrt(top)
     if not noise < math.inf:
         return CircumOutcome.empty()
     if len(P) == 3:
@@ -266,17 +248,13 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
         center = _sweep(P, cfg.rank_tol, noise)
     if center is None:
         return CircumOutcome.empty()
-    R = P - center
-    dists = np.sqrt(np.einsum("ij,ij->i", R, R))
-    hi = float(dists.max())
-    if not hi < math.inf:
-        # A squared distance overflowed (a radius above about 1e154):
-        # measure every distance again with rescaling.
-        dists = np.array([_norm(r) for r in R])
-        hi = float(dists.max())
-    if not _equidistant(float(dists.min()), hi, cfg.verify_tol, noise):
+    dists = _distances(P, center)
+    if not _equidistant(float(dists.min()), float(dists.max()), cfg.verify_tol, noise):
         return CircumOutcome.empty()
-    return CircumOutcome.exists(center, dists.sum() / len(dists))
+    radius = dists.sum() / len(dists)
+    if e:
+        center, radius = np.ldexp(center, e), np.ldexp(radius, e)
+    return CircumOutcome.exists(center, radius)
 
 
 def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
@@ -290,9 +268,9 @@ def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     forward substitution in one pass of scalar arithmetic (see
     circumcenter_three). The candidate is then verified against every
     point. Both decisions are relative to the set, up to the rounding
-    noise of its points (see CircumConfig), so the outcome is covariant
-    under scaling and translation. Any degeneracy, including differences
-    whose squared norms overflow, yields Empty.
+    noise of its points (see CircumConfig), and taken at its working
+    scale (see linalg), so the outcome is covariant under scaling, over
+    the whole float range, and translation. Any degeneracy yields Empty.
     """
     P = as_points(points)
     if not len(P):
@@ -318,8 +296,8 @@ def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOut
     circumcenter() computes this point from the residual r = b - k a,
     k = <a, b> / ||a||^2, as x + (1/2 - t k) a + t b = x + a/2 + t r with
     t = (||b||^2 - <a, b>) / (2 ||r||^2); ||a||^2 ||r||^2 is that Gram
-    determinant without its squared form's rounding. Duplicates, collinear and ill-conditioned points and
-    overflow are decided as for any set.
+    determinant without its squared form's rounding. Duplicates, collinear
+    and ill-conditioned points are decided as for any set.
     """
     return _circumcenter(as_points([x, y, z]), cfg)
 
@@ -342,20 +320,22 @@ def cross3(u, v) -> np.ndarray:
 
 
 def _cross3_frame(x, y, z, tol: float):
+    """x, a = 2^-e (y - x), b = 2^-e (z - x), a x b, |a x b| and e (unit scale)."""
     x, y, z = as_points([x, y, z])
     if x.shape[0] != 3:
         raise NotThreeDimensional(
             f"cross-product circumcenter needs R^3, got R^{x.shape[0]}"
         )
-    a = y - x
-    b = z - x
+    D = np.array([y - x, z - x])
+    e = _exponent(D)
+    a, b = np.ldexp(D, -e)
     k = cross3(a, b)
     nk = float(np.linalg.norm(k))
     if nk <= tol * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
         raise NotAffinelyIndependent(
             "cross product of the differences is (near) zero"
         )
-    return x, a, b, k, nk
+    return x, a, b, k, nk, e
 
 
 def circumcenter_cross3(x, y, z, tol: float = 1e-10) -> np.ndarray:
@@ -364,9 +344,9 @@ def circumcenter_cross3(x, y, z, tol: float = 1e-10) -> np.ndarray:
     center = x + ((||a||^2 b - ||b||^2 a) x (a x b)) / (2 ||a x b||^2)
     with a = y - x, b = z - x.
     """
-    x, a, b, k, nk = _cross3_frame(x, y, z, tol)
+    x, a, b, k, nk, e = _cross3_frame(x, y, z, tol)
     w = float(a @ a) * b - float(b @ b) * a
-    return x + cross3(w, k) / (2.0 * nk * nk)
+    return x + np.ldexp(cross3(w, k) / (2.0 * nk * nk), e)
 
 
 def circumradius_cross3(x, y, z, tol: float = 1e-10) -> float:
@@ -375,13 +355,9 @@ def circumradius_cross3(x, y, z, tol: float = 1e-10) -> float:
     radius = ||a|| ||b|| ||a - b|| / (2 ||a x b||), i.e. the opposite
     side over twice the sine of the enclosed angle.
     """
-    _, a, b, _, nk = _cross3_frame(x, y, z, tol)
-    return (
-        float(np.linalg.norm(a))
-        * float(np.linalg.norm(b))
-        * float(np.linalg.norm(a - b))
-        / (2.0 * nk)
-    )
+    _, a, b, _, nk, e = _cross3_frame(x, y, z, tol)
+    r = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(a - b) / (2.0 * nk)
+    return float(np.ldexp(r, e))
 
 
 def cramer_coefficients(points, base_index: int = 0) -> list[float]:
@@ -392,7 +368,10 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
     where A is the Gram matrix of the d_i and A_i is A with column i
     replaced by (||d_i||^2)_i. The center is then
     points[base_index] + sum_i coeff_i d_i. Independent of the Gram-Schmidt
-    path, which makes this a cross-check route, not a fast one.
+    path, which makes this a cross-check route, not a fast one. Like the
+    cross-product forms, whose degree reaches five, the determinants (of
+    degree 2(m - 1)) are taken at the unit scale, of the d_i divided by
+    2^e, e the binary exponent of their largest entry.
     """
     P = as_points(points)
     m = len(P)
@@ -401,7 +380,7 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
     if not 0 <= base_index < m:
         raise ValueError(f"base_index {base_index} out of range for {m} points")
     diffs = np.delete(P, base_index, axis=0) - P[base_index]
-    A = gram(diffs)
+    A = gram(np.ldexp(diffs, -_exponent(diffs)))
     a = np.diag(A)
     delta = float(np.linalg.det(A))
     if delta <= 1e-13 * max(float(np.prod(np.diag(A))), 1e-300):

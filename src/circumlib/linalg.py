@@ -22,6 +22,14 @@ reflections of a point x that lies on a set differ from x by a few
 eps * |x|. An affine subspace has no extent, so whether a point lies on
 one is decided against tol times the largest norm of the points
 involved.
+
+One scale rule keeps squared lengths in range (`_scaled`; `_norm` for a
+vector): when the largest squared row norm of V is outside [2^-800,
+2^800], a kernel runs on 2^-e V, e the binary exponent of the largest
+|v_ij|, and scales its lengths back by 2^e. A power of two changes no
+bit of a sum, product, quotient or square root that stays in range, so
+this gives the numbers of a wider exponent range. A zero or non-finite
+V is left as it is.
 """
 
 from __future__ import annotations
@@ -42,18 +50,39 @@ class NotPositiveDefinite(ValueError):
     """A pivot fell below tolerance during Cholesky factorization."""
 
 
+# Squares in this range leave 2^224 to spare for what a kernel does next.
+_TINY = 2.0**-800
+_HUGE = 2.0**800
+
+
+def _exponent(V: np.ndarray) -> int:
+    """Binary exponent of the largest |v_ij|: 0 for a zero or non-finite V."""
+    return math.frexp(np.abs(V).max(initial=0.0))[1]
+
+
+def _scaled(V: np.ndarray):
+    """(W, e, sq, top): V at its working scale W = 2^-e V (see the module
+    docstring), with W's squared row norms sq and their largest top."""
+    sq = np.einsum("ij,ij->i", V, V)
+    top = sq.max(initial=0.0)
+    if _TINY <= top <= _HUGE:
+        return V, 0, sq, top
+    e = _exponent(V)
+    V = np.ldexp(V, -e)
+    sq = np.einsum("ij,ij->i", V, V)
+    return V, e, sq, sq.max(initial=0.0)
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array: sqrt(v . v), the number
-    np.linalg.norm gives, unless v . v overflows; then v is rescaled by
-    its largest entry so that a finite vector has a finite norm."""
+    np.linalg.norm gives, taken at v's working scale (see the module
+    docstring) when v . v is out of range."""
     sq = float(v @ v)
-    if sq < math.inf:
+    if _TINY <= sq <= _HUGE:
         return math.sqrt(sq)
-    big = float(np.abs(v).max())
-    if not big < math.inf:
-        return big
-    u = v / big
-    return big * math.sqrt(float(u @ u))
+    e = _exponent(v)
+    u = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(float(u @ u)), e))
 
 
 def as_vector(x) -> np.ndarray:
@@ -68,10 +97,11 @@ def as_vector(x) -> np.ndarray:
 def as_points(points) -> np.ndarray:
     """m vectors of one length as an (m, n) float array, one per row.
 
-    An empty collection is a (0, 0) array.
+    An empty collection is a (0, 0) array. The array is C-ordered, so
+    the bits of a result do not depend on the caller's memory layout.
     """
     try:
-        P = np.asarray(points, dtype=float)
+        P = np.asarray(points, dtype=float, order="C")
     except ValueError as exc:
         raise DimensionMismatch(f"vectors do not form an (m, n) array: {exc}") from exc
     if P.ndim == 1 and P.size == 0:
@@ -101,12 +131,14 @@ def _gram_schmidt(V: np.ndarray, tol: float, floor: float = 0.0):
       coefficients: y_k = (|v_k|^2 / 2 - c_k . y_<k) / rho_k;
     - top: the largest squared row norm max |v_i|^2 (0 for no rows).
 
+    rho and top are at V's working scale, where their ratios are the same.
     The first kept row has nothing to be orthogonalized against and is
     taken as it is, which gives the numbers the empty projections would.
     """
     m, n = V.shape
-    sq = np.einsum("ij,ij->i", V, V)
-    top = sq.max(initial=0.0)
+    V, e, sq, top = _scaled(V)
+    if e:
+        floor = float(np.ldexp(floor, -e))
     threshold = max(tol * math.sqrt(top), floor)
     Q = np.empty((m, n))
     rho = np.empty(m)
@@ -131,7 +163,7 @@ def _gram_schmidt(V: np.ndarray, tol: float, floor: float = 0.0):
             y[k] = (0.5 * sq[i] - cy) / rn
             kept.append(i)
     k = len(kept)
-    return kept, Q[:k], rho[:k], y[:k], top
+    return kept, Q[:k], rho[:k], np.ldexp(y[:k], e) if e else y[:k], top
 
 
 def gram(vectors) -> np.ndarray:

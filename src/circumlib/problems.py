@@ -185,25 +185,13 @@ def generate_two_subspace(
 
     rng = Xorshift64Star(seed)
     Q = rng.orthogonal(n)
-    axes = [Q[:, j] for j in range(n)]
-
     p = min(dim_u, dim_v)
-    u_dirs: list[np.ndarray] = []
-    v_dirs: list[np.ndarray] = []
-    used = 0
-    for i in range(p):
-        c = target_cf * (p - i) / p
-        s = math.sqrt(1.0 - c * c)
-        e1, e2 = axes[used], axes[used + 1]
-        used += 2
-        u_dirs.append(e1)
-        v_dirs.append(c * e1 + s * e2)
-    for _ in range(dim_u - p):
-        u_dirs.append(axes[used])
-        used += 1
-    for _ in range(dim_v - p):
-        v_dirs.append(axes[used])
-        used += 1
+    c = target_cf * np.arange(p, 0, -1) / p
+    s = np.sqrt(1.0 - c * c)
+    e1, e2 = Q[:, 0 : 2 * p : 2].T, Q[:, 1 : 2 * p : 2].T
+    rest = Q[:, 2 * p : dim_u + dim_v].T
+    u_dirs = np.vstack([e1, rest[: dim_u - p]])
+    v_dirs = np.vstack([c[:, None] * e1 + s[:, None] * e2, rest[dim_u - p :]])
 
     zero = np.zeros(n)
     U = from_span(zero, u_dirs)

@@ -258,8 +258,8 @@ def run(
     - "max_iter": max_iter steps were taken.
 
     A starting point whose numbers overflow raises ValueError. A
-    circumcentered step whose circumcenter is Empty, overflowing
-    reflections included, raises DegenerateStep. dr traces also carry
+    circumcentered step whose reflection points have no circumcenter, or
+    overflowed to inf, raises DegenerateStep. dr traces also carry
     the shadow sequence P_{U_1} x_k and measure distances and residuals
     on it.
 

@@ -48,6 +48,12 @@ def test_from_span_line():
     assert np.allclose(np.abs(V.onb[0]), [1, 0])
 
 
+@pytest.mark.parametrize("lam", [1e200, 1e-200])
+def test_from_span_beyond_square_range(lam):
+    V = from_span([0, 0], [[lam, 0]])
+    assert V.dim == 1 and np.array_equal(V.onb, [[1, 0]])
+
+
 def test_from_span_empty_is_singleton():
     V = from_span([1, 1], [])
     assert V.dim == 0
@@ -132,6 +138,13 @@ def test_distance_to_does_not_overflow():
     # the squared distance, 9e400, is not a float; the distance is
     assert distance_to(V, [1e200, 3e200]) == 3e200
     assert distance_to(V, [1e308, -1e308]) == 1e308
+
+
+def test_distance_to_does_not_underflow():
+    # the squared distance, 9e-340, is below the smallest float
+    V = from_span([0, 0], [[1, 0]])
+    assert distance_to(V, [0.0, 3e-170]) == 3e-170
+    assert distance_to(V, [7.0, -3e-170]) == 3e-170
 
 
 def test_reflect_across_x_axis():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from circumlib.affine import affine_hull, distance_to
 from circumlib.circumcenter import (
     CircumConfig,
+    CircumOutcome,
     NotAffinelyIndependent,
     NotThreeDimensional,
     circumcenter,
@@ -69,17 +70,14 @@ def test_dedup_respects_tol_and_order():
     assert np.array_equal(got, [[0, 0], [2, 0]])
 
 
-@pytest.mark.parametrize("block", [1, 7, 40, 1 << 20])
-def test_pairwise_distances_blocked_equal_one_shot(monkeypatch, block):
-    # Small blocks force several passes (one row per pass at block 1);
-    # the numbers must not depend on how the rows are split.
+def test_pairwise_distances_equal_one_shot():
+    # diameter and dedup measure one row at a time; the numbers must be
+    # those of the full (m, m) distance matrix.
     rng = np.random.default_rng(21)
     P = rng.normal(size=(9, 5))
     P[4] = P[1]
     D = P[:, None] - P
     one_shot = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
-    monkeypatch.setattr(cc_mod, "_BLOCK_ENTRIES", block)
-    assert np.array_equal(cc_mod._pairwise_distances(P), one_shot)
     assert diameter(P) == one_shot.max()
     assert np.array_equal(dedup(P), np.delete(P, 4, axis=0))
 
@@ -334,14 +332,18 @@ def test_huge_points_with_finite_differences():
 
 
 def assert_scale_covariant(pts, lam):
+    # Compared in units of lam, where the test's own norms cannot
+    # overflow or underflow.
     base = circumcenter(pts)
-    center = None if base.is_empty else lam * base.center
-    tol = 1e-9 * lam * diameter(pts)
-    assert_same_outcome(circumcenter(lam * pts), center, lam * base.radius, tol)
+    out = circumcenter(lam * pts)
+    assert out.is_empty == base.is_empty
+    if not base.is_empty:
+        unscaled = CircumOutcome.exists(out.center / lam, out.radius / lam)
+        assert_same_outcome(unscaled, base.center, base.radius, 1e-9 * diameter(pts))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(point_sets(), st.integers(-12, 150))
+@given(point_sets(), st.integers(-300, 300))
 def test_scale_covariant(case, k):
     assert_scale_covariant(case[1], 10.0**k)
 
@@ -363,6 +365,62 @@ def test_small_right_triangle_is_not_collapsed(k):
     expected = lam * np.array([0.5, 0.5])
     for out in (circumcenter(pts), circumcenter_three(*pts)):
         assert_same_outcome(out, expected, lam * math.sqrt(0.5), 1e-9 * lam)
+
+
+# --- beyond the range of squares ------------------------------------------
+# Each set below has squared lengths that overflow or underflow; it is
+# solved at its working scale (see linalg), so nothing collapses.
+
+
+def test_pair_whose_squared_distance_overflows():
+    out = circumcenter([[0, 0], [1e200, 0]])
+    assert np.array_equal(out.center, [5e199, 0.0]) and out.radius == 5e199
+
+
+@pytest.mark.parametrize("lam", [1e-170, 1e-300])
+def test_right_triangle_whose_squares_underflow(lam):
+    pts = lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for out in (circumcenter(pts), circumcenter_three(*pts)):
+        assert_same_outcome(out, [0.5 * lam, 0.5 * lam], math.sqrt(0.5) * lam, 1e-15 * lam)
+
+
+def test_small_square_radius_is_accurate():
+    # At 1e-160 the squared distances to the center are subnormal.
+    out = circumcenter(1e-160 * np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
+    assert out.radius / 1e-160 == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
+def test_diameter_and_dedup_beyond_square_range():
+    assert diameter([[0, 0], [1e200, 0]]) == 1e200
+    assert diameter([[0, 0], [0, 3e-170]]) == 3e-170
+    got = dedup([[0, 0], [1e200, 0], [1e200, 0]])
+    assert np.array_equal(got, [[0, 0], [1e200, 0]])
+
+
+def test_verify_equidistant_beyond_square_range():
+    assert verify_equidistant([0, 0], [[1e200, 0], [0, 1e200]], 1e-8)
+    assert verify_equidistant([0, 0], [[1e-200, 0], [0, 1e-200]], 1e-8)
+    assert not verify_equidistant([0, 0], [[1e200, 0], [0, 1.1e200]], 1e-8)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e200])
+def test_cross3_routes_beyond_square_range(lam):
+    pts = lam * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    center = circumcenter_cross3(*pts)
+    assert np.abs(center / lam - [0.5, 0.5, 0.0]).max() <= 1e-15
+    assert circumradius_cross3(*pts) / lam == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-80, 1e200])
+def test_cramer_beyond_square_range(lam):
+    tri = lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert cramer_coefficients(tri) == pytest.approx([0.5, 0.5], rel=1e-14)
+    # The coefficients are taken at the unit scale, so a power of two
+    # changes no bit of them.
+    pts = conditioned_independent(np.random.default_rng(22), 4, 5)
+    ref = cramer_coefficients(pts, 1)
+    for k in (-600, 600):
+        assert cramer_coefficients(np.ldexp(pts, k), 1) == ref
 
 
 # --- circumcenter_three -----------------------------------------------------
@@ -468,8 +526,8 @@ def test_three_point_path_matches_sweep(k):
     for label, pts, sin in three_point_cases(rng):
         unscaled = circumcenter(pts)
         # The well-posed sin 2e-6 triples have radius about 3.7e5; at
-        # 1e150 their squared distances to the center overflow, and
-        # verification measures them again with rescaling.
+        # 1e150 their squared distances to the center would overflow,
+        # and they are solved at their working scale.
         overflowing += unscaled.radius * lam > 1e155 and not unscaled.is_empty
         for shift in (0.0, 1e3, 1e8):
             t = rng.normal(size=pts.shape[1])
@@ -487,38 +545,44 @@ def test_three_point_path_matches_sweep(k):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_three_point_path_overflow():
-    # |p|^2 overflows but the differences do not: Exists by the noise
-    # scale's rescaled fallback, as with the general sweep.
+    # |p|^2 overflows but the differences do not: Exists, as with the
+    # general sweep.
     x = np.array([1e160, 0.0])
     y = np.array([1e160, 1e152])
     for pts in ([x, y, x], [x, x, y], [x, y, y]):
         assert_three_matches_sweep(np.array(pts))
         assert_same_outcome(circumcenter(pts), [1e160, 5e151], 5e151, 1e140)
-    # Differences whose squares overflow give Empty on both paths.
+    # Differences whose squares overflow: the circle of radius 1e300 has
+    # its center and radius on both paths.
     pts = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300]])
-    assert circumcenter(pts).is_empty
+    assert_same_outcome(circumcenter(pts), [0.0, 0.0], 1e300, 1e-12 * 1e300)
     assert_three_matches_sweep(pts)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_verification_rescales_only_on_overflow(monkeypatch):
-    calls = []
-    norm = cc_mod._norm
-    monkeypatch.setattr(cc_mod, "_norm", lambda v: calls.append(1) or norm(v))
+    exponents = []
+    scaled = cc_mod._scaled
+
+    def counted(V):
+        out = scaled(V)
+        exponents.append(out[1])
+        return out
+
+    monkeypatch.setattr(cc_mod, "_scaled", counted)
     rng = np.random.default_rng(19)
     for m in (2, 3, 5):
         for _ in range(20):
             circumcenter(rng.normal(size=(m, 4)))
-    assert calls == []
+    assert len(exponents) == 60 and not any(exponents)
     # Three points 1e150 apart on an arc of radius 1e155: the squared
     # differences are finite, the squared distances to the center not.
     R = 1e155
     phi = np.array([-1e-5, 0.0, 1e-5])
     arc = np.column_stack([R * np.sin(phi), -2.0 * R * np.sin(phi / 2) ** 2])
     for pts in (arc, np.vstack([arc, arc[:1]])):
-        calls.clear()
+        exponents.clear()
         got = circumcenter(pts)
-        assert len(calls) == len(pts)
+        assert len(exponents) == 1 and exponents[0] != 0
         assert_same_outcome(got, [0.0, -R], R, 1e-12 * R)
 
 

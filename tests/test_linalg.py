@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circumlib.circumcenter import circumcenter
 from circumlib.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -134,6 +137,47 @@ def test_orthonormalize_near_machine_orthonormal():
     for n, k in [(100, 60), (50, 50), (8, 3)]:
         Q = np.array(orthonormalize(list(rng.normal(size=(k, n)))))
         assert np.abs(Q @ Q.T - np.eye(Q.shape[0])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e-160])
+def test_orthonormalize_beyond_square_range(lam):
+    # The squared norms overflow (or underflow) but the basis is the
+    # same as at scale 1.
+    got = orthonormalize([[lam, 0], [0, lam]])
+    assert np.array_equal(got, [[1, 0], [0, 1]])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.integers(-900, 900),
+)
+def test_rank_decisions_invariant_under_powers_of_two(n, m, seed, k):
+    # A power of two changes no bit of the sweep, in range or rescaled:
+    # the same rows are kept and the basis is bit-equal.
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n + 1))
+    V = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+    V[rng.random(m) < 0.2] = 0.0
+    W = np.ldexp(V, k)
+    assert max_independent_subset(W) == max_independent_subset(V)
+    assert np.array_equal(orthonormalize(W), orthonormalize(V))
+
+
+def test_results_do_not_depend_on_memory_layout():
+    # F-ordered input is converted to C order once, at the boundary, so
+    # its results are the bits of a C-ordered copy.
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        M = rng.normal(size=(int(rng.integers(3, 9)), int(rng.integers(3, 9))))
+        F = M.T
+        C = np.ascontiguousarray(F)
+        assert np.array_equal(orthonormalize(F), orthonormalize(C))
+        a, b = circumcenter(F), circumcenter(C)
+        assert a.is_empty == b.is_empty and a.radius == b.radius
+        assert a.is_empty or np.array_equal(a.center, b.center)
 
 
 def test_orthonormalize_skips_zero_vectors():

@@ -336,16 +336,22 @@ def test_run_default_config_converges_off_origin(method, shift):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_overflowing_step_is_degenerate_not_converged():
     # From z = (1e300, 1e300) the reflection points are about 1e300
-    # apart, so their pairwise distances overflow; the circumcenter is
-    # Empty instead of every point collapsing onto x under an infinite
-    # dedup tolerance (a zero step reported as step_tol). From 1e308 the
-    # reflections themselves overflow, with the same outcome.
-    for scale in (1e300, 1e308):
-        prob = Problem([line2(0.0), line2(np.pi / 4)], [scale, scale])
-        for method in (Method.CDRM, Method.CRM):
-            for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
-                with pytest.raises(DegenerateStep):
-                    run(method, prob, SolverConfig(initializer=init))
+    # apart, so their squared distances overflow; the circumcenter is
+    # solved at its working scale and the run reaches the solution, the
+    # origin, instead of every point collapsing onto x (a zero step
+    # reported as step_tol). From 1e308 the reflections themselves
+    # overflow, and the step is degenerate.
+    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e300, 1e300])
+    for method in (Method.CDRM, Method.CRM):
+        for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+            trace = run(method, prob, SolverConfig(initializer=init))
+            assert trace.reason == "step_tol"
+            assert trace.dists[-1] <= 1e-12 * 1e300
+    prob = Problem([line2(0.0), line2(np.pi / 4)], [1e308, 1e308])
+    for method in (Method.CDRM, Method.CRM):
+        for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+            with pytest.raises(DegenerateStep):
+                run(method, prob, SolverConfig(initializer=init))
 
 
 def assert_finite_trace(trace):
