@@ -70,11 +70,12 @@ def test_dedup_respects_tol_and_order():
     assert np.array_equal(got, [[0, 0], [2, 0]])
 
 
-def test_pairwise_distances_equal_one_shot():
-    # diameter and dedup measure one row at a time; the numbers must be
-    # those of the full (m, m) distance matrix.
+@pytest.mark.parametrize("scale", [1, 7, 40, 1 << 20])
+def test_pairwise_distances_blocked_equal_one_shot(scale):
+    # diameter and dedup measure one row at a time; at every scale the
+    # numbers must be those of the full (m, m) distance matrix.
     rng = np.random.default_rng(21)
-    P = rng.normal(size=(9, 5))
+    P = scale * rng.normal(size=(9, 5))
     P[4] = P[1]
     D = P[:, None] - P
     one_shot = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
