@@ -8,9 +8,9 @@ the Friedrichs angle are the two nontrivial operations.
 Both rest on the principal angles between the two direction spaces,
 computed once by `_principal`. Tolerances have one meaning there: a
 direction is shared when the sine of its principal angle is at most
-tol, the number `intersect` also applies to membership residuals
-(DEFAULT_MEMBERSHIP_TOL unless given). A sine does not change with the
-scale of the points or the conditioning of the spanning sets.
+DEFAULT_MEMBERSHIP_TOL, the number `intersect` also applies to
+membership residuals. A sine does not change with the scale of the
+points or the conditioning of the spanning sets.
 
 Public entry points validate their arguments (`as_vector`, the
 ambient dimension) and then call a private kernel that trusts its
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, _norm, as_points, as_vector, orthonormalize
+from .linalg import _norm, as_points, as_vector, orthonormalize
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
@@ -67,20 +67,17 @@ class AffineSubspace:
         return self.onb.shape[0]
 
 
-def from_span(base, spanning, tol: float = DEFAULT_RANK_TOL) -> AffineSubspace:
+def from_span(base, spanning) -> AffineSubspace:
     """Subspace through base spanned by the given directions."""
-    base = as_vector(base)
-    basis = orthonormalize(spanning, tol)
-    onb = np.array(basis) if basis else np.zeros((0, base.shape[0]))
-    return AffineSubspace(base=base, onb=onb)
+    return AffineSubspace(base=as_vector(base), onb=orthonormalize(spanning))
 
 
-def affine_hull(points, tol: float = DEFAULT_RANK_TOL) -> AffineSubspace:
+def affine_hull(points) -> AffineSubspace:
     """Affine hull of a nonempty point set."""
     P = as_points(points)
     if not len(P):
         raise ValueError("affine hull of an empty point set")
-    return from_span(P[0], P[1:] - P[0], tol)
+    return from_span(P[0], P[1:] - P[0])
 
 
 def _point_of(V: AffineSubspace, x) -> np.ndarray:
@@ -121,9 +118,7 @@ def distance_to(V: AffineSubspace, x) -> float:
     return _distance(V, _point_of(V, x))
 
 
-def _principal(
-    Qu: np.ndarray, Qv: np.ndarray, tol: float
-) -> tuple[np.ndarray, float]:
+def _principal(Qu: np.ndarray, Qv: np.ndarray) -> tuple[np.ndarray, float]:
     """Shared directions and Friedrichs cosine of two direction spaces.
 
     Qu and Qv hold orthonormal rows. One SVD of Qu Qv^T gives the
@@ -132,14 +127,14 @@ def _principal(
     degrees are refined by a second SVD, of their residual off span(Qu),
     whose singular values are their sines (Bjorck and Golub 1973;
     Knyazev and Argentati 2002). Returns the orthonormal rows whose sine
-    is at most tol, and the largest cosine among the other angles (0
-    when there are none).
+    is at most DEFAULT_MEMBERSHIP_TOL, and the largest cosine among the
+    other angles (0 when there are none).
     """
     _, cos, zh = np.linalg.svd(Qu @ Qv.T)
     small = int(np.sum(cos > math.sqrt(0.5)))
     P = zh[:small] @ Qv
     rot, sin, _ = np.linalg.svd(P - (P @ Qu.T) @ Qu, full_matrices=False)
-    shared = int(np.sum(sin <= tol))
+    shared = int(np.sum(sin <= DEFAULT_MEMBERSHIP_TOL))
     kept = small - shared
     if kept:
         cf = math.sqrt(1.0 - sin[kept - 1] ** 2)
@@ -148,31 +143,29 @@ def _principal(
     return rot[:, kept:].T @ P, cf
 
 
-def intersect(
-    U: AffineSubspace, V: AffineSubspace, tol: float = DEFAULT_MEMBERSHIP_TOL
-) -> AffineSubspace:
+def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
     """Intersection of two affine subspaces.
 
     A common point a + Qu^T alpha = b + Qv^T beta is found by least
     squares in the (du + dv) coordinates and moved along the shared
     directions to the point nearest the origin; NoIntersection is raised
-    when a membership residual exceeds tol times the largest norm of
-    that point and the two base points (see linalg).
+    when a membership residual exceeds DEFAULT_MEMBERSHIP_TOL times the
+    largest norm of that point and the two base points (see linalg).
     The direction space of the result is spanned by the directions
-    whose principal-angle sine is at most tol.
+    whose principal-angle sine is at most DEFAULT_MEMBERSHIP_TOL.
     """
     if U.ambient_dim != V.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
         )
-    W, _ = _principal(U.onb, V.onb, tol)
+    W, _ = _principal(U.onb, V.onb)
     A = np.vstack([U.onb, -V.onb]).T
     coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
     p = U.base + U.onb.T @ coef[: U.dim]
     p = p - W.T @ (W @ p)
     scale = max(_norm(p), _norm(U.base), _norm(V.base))
     gap = max(distance_to(U, p), distance_to(V, p))
-    if gap > tol * scale:
+    if gap > DEFAULT_MEMBERSHIP_TOL * scale:
         raise NoIntersection(f"membership residual {gap:.3e} exceeds tolerance")
     return AffineSubspace(base=p, onb=W)
 
@@ -189,4 +182,4 @@ def friedrichs_cos(U: AffineSubspace, V: AffineSubspace) -> float:
         raise ValueError(
             f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
         )
-    return _principal(U.onb, V.onb, DEFAULT_MEMBERSHIP_TOL)[1]
+    return _principal(U.onb, V.onb)[1]

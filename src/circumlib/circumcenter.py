@@ -32,6 +32,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PIVOT_TOL,
+    DEFAULT_RANK_TOL,
     DimensionMismatch,
     _exponent,
     _gram_schmidt,
@@ -68,7 +69,7 @@ class CircumConfig:
     the points, 64 eps * max_i |p_i|.
     """
 
-    rank_tol: float = 1e-10
+    rank_tol: float = DEFAULT_RANK_TOL
     verify_tol: float = 1e-8
 
     def __post_init__(self):
@@ -138,22 +139,22 @@ def dedup(points, tol: float | None = None) -> list[np.ndarray]:
     return list(P[kept])
 
 
-def circumcenter_gram(points, pivot_tol: float | None = None) -> np.ndarray:
+def circumcenter_gram(points) -> np.ndarray:
     """Circumcenter of an affinely independent tuple.
 
     With differences d_i = x_{i+1} - x_1, the Gram-Schmidt sweep of
     linalg writes each d_i in an orthonormal basis and solves for the
     point x_1 + sum_k y_k q_k equidistant from every x_i by forward
     substitution. A difference whose residual against the earlier ones
-    has rho^2 <= pivot_tol * max |d|^2 (default DEFAULT_PIVOT_TOL)
-    surfaces as NotAffinelyIndependent.
+    has rho^2 <= DEFAULT_PIVOT_TOL * max |d|^2 surfaces as
+    NotAffinelyIndependent.
     """
     P = as_points(points)
     if not len(P):
         raise ValueError("circumcenter of an empty tuple")
     if len(P) == 1:
         return P[0].copy()
-    tol = math.sqrt(DEFAULT_PIVOT_TOL if pivot_tol is None else pivot_tol)
+    tol = math.sqrt(DEFAULT_PIVOT_TOL)
     kept, Q, _, y, _ = _gram_schmidt(P[1:] - P[0], tol)
     if len(kept) < len(P) - 1:
         raise NotAffinelyIndependent(
@@ -319,7 +320,7 @@ def cross3(u, v) -> np.ndarray:
     )
 
 
-def _cross3_frame(x, y, z, tol: float):
+def _cross3_frame(x, y, z):
     """x, a = 2^-e (y - x), b = 2^-e (z - x), a x b, |a x b| and e (unit scale)."""
     x, y, z = as_points([x, y, z])
     if x.shape[0] != 3:
@@ -331,31 +332,31 @@ def _cross3_frame(x, y, z, tol: float):
     a, b = np.ldexp(D, -e)
     k = cross3(a, b)
     nk = float(np.linalg.norm(k))
-    if nk <= tol * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
+    if nk <= DEFAULT_RANK_TOL * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
         raise NotAffinelyIndependent(
             "cross product of the differences is (near) zero"
         )
     return x, a, b, k, nk, e
 
 
-def circumcenter_cross3(x, y, z, tol: float = 1e-10) -> np.ndarray:
+def circumcenter_cross3(x, y, z) -> np.ndarray:
     """Circumcenter of three affinely independent points in R^3.
 
     center = x + ((||a||^2 b - ||b||^2 a) x (a x b)) / (2 ||a x b||^2)
     with a = y - x, b = z - x.
     """
-    x, a, b, k, nk, e = _cross3_frame(x, y, z, tol)
+    x, a, b, k, nk, e = _cross3_frame(x, y, z)
     w = float(a @ a) * b - float(b @ b) * a
     return x + np.ldexp(cross3(w, k) / (2.0 * nk * nk), e)
 
 
-def circumradius_cross3(x, y, z, tol: float = 1e-10) -> float:
+def circumradius_cross3(x, y, z) -> float:
     """Circumradius of three affinely independent points in R^3.
 
     radius = ||a|| ||b|| ||a - b|| / (2 ||a x b||), i.e. the opposite
     side over twice the sine of the enclosed angle.
     """
-    _, a, b, _, nk, e = _cross3_frame(x, y, z, tol)
+    _, a, b, _, nk, e = _cross3_frame(x, y, z)
     r = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(a - b) / (2.0 * nk)
     return float(np.ldexp(r, e))
 

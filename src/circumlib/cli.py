@@ -181,8 +181,8 @@ def _add_solver_args(p: argparse.ArgumentParser):
         default=Initializer.PROJECT_FIRST_SET.value,
         help="starting point derived from z (default: project-first)",
     )
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--step-tol", type=float, default=1e-12)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,10 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = sub.add_parser("cc", help="circumcenter of a point-set file")
     p_cc.add_argument("points_file")
     p_cc.add_argument(
-        "--tol", type=float, default=1e-8, help="equidistance verification tolerance"
+        "--tol", type=float, default=CircumConfig.verify_tol,
+        help="equidistance verification tolerance",
     )
     p_cc.add_argument(
-        "--rank-tol", type=float, default=1e-10, help="affine-independence tolerance"
+        "--rank-tol", type=float, default=CircumConfig.rank_tol,
+        help="affine-independence tolerance",
     )
     p_cc.set_defaults(fn=_cmd_cc)
 

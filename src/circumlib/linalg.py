@@ -8,20 +8,20 @@ kernels work on that array without checking it again.
 Every tolerance is relative, with no absolute floor, so every decision
 is invariant under global scaling. A rank decision on a vector list
 (`max_independent_subset`, `orthonormalize`) keeps a vector whose
-residual exceeds tol times the largest input norm. A decision on a
-point set p_1..p_m is relative to the set itself, so it is also
-invariant under translation: which points coincide and which
-differences p_i - p_1 are independent is decided against tol times the
-largest difference, whether a candidate center is equidistant against
-tol times the largest distance, and whether a circumcenter's system is
-well conditioned by its squared pivots against the largest squared
-difference. The coincidence and equidistance tests also allow the
-rounding noise of the points, a few dozen eps times max_i |p_i|:
-points far from the origin cannot be told apart more finely, and the
-reflections of a point x that lies on a set differ from x by a few
-eps * |x|. An affine subspace has no extent, so whether a point lies on
-one is decided against tol times the largest norm of the points
-involved.
+residual exceeds DEFAULT_RANK_TOL times the largest input norm. A
+decision on a point set p_1..p_m is relative to the set itself, so it is
+also invariant under translation: which points coincide and which
+differences p_i - p_1 are independent is decided against
+CircumConfig.rank_tol times the largest difference, whether a candidate
+center is equidistant against its verify_tol times the largest distance,
+and whether a circumcenter's system is well conditioned by its squared
+pivots against DEFAULT_PIVOT_TOL times the largest squared difference.
+The coincidence and equidistance tests also allow the rounding noise of
+the points, a few dozen eps times max_i |p_i|: points far from the
+origin cannot be told apart more finely, and the reflections of a point
+x on a set differ from x by a few eps * |x|. An affine subspace has no
+extent: whether a point lies on one is decided against
+affine.DEFAULT_MEMBERSHIP_TOL times the largest norm involved.
 
 One scale rule keeps squared lengths in range (`_scaled`; `_norm` for a
 vector): when the largest squared row norm of V is outside [2^-800,
@@ -77,12 +77,12 @@ def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array: sqrt(v . v), the number
     np.linalg.norm gives, taken at v's working scale (see the module
     docstring) when v . v is out of range."""
-    sq = float(v @ v)
+    sq = float(np.vdot(v, v))
     if _TINY <= sq <= _HUGE:
         return math.sqrt(sq)
     e = _exponent(v)
     u = np.ldexp(v, -e)
-    return float(np.ldexp(math.sqrt(float(u @ u)), e))
+    return float(np.ldexp(math.sqrt(float(np.vdot(u, u))), e))
 
 
 def as_vector(x) -> np.ndarray:
@@ -206,26 +206,25 @@ def solve_spd(G, rhs, pivot_tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
-def max_independent_subset(
-    vectors, tol: float = DEFAULT_RANK_TOL
-) -> list[int]:
+def max_independent_subset(vectors) -> list[int]:
     """Indices of a maximal linearly independent subset, earliest first.
 
     Vectors are swept in index order; one is kept when its residual
-    against the span of the vectors already kept exceeds tol times the
-    largest input norm. Every input then lies in the span of the kept
-    vectors within that threshold. Zero (and near-zero) vectors are
-    skipped.
+    against the span of the vectors already kept exceeds DEFAULT_RANK_TOL
+    times the largest input norm. Every input then lies in the span of
+    the kept vectors within that threshold. Zero (and near-zero) vectors
+    are skipped.
     """
-    return _gram_schmidt(as_points(vectors), tol)[0]
+    return _gram_schmidt(as_points(vectors), DEFAULT_RANK_TOL)[0]
 
 
-def orthonormalize(vectors, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the span, from the same sweep.
+def orthonormalize(vectors) -> np.ndarray:
+    """Orthonormal rows spanning the same space, from the same sweep.
 
     Dependent (and zero) vectors are skipped at the same relative
     threshold as max_independent_subset; each kept vector is
     orthogonalized twice so the basis is orthonormal to near machine
-    precision.
+    precision. The rows are copied out of the sweep's buffer, which has
+    a row for every input vector.
     """
-    return list(_gram_schmidt(as_points(vectors), tol)[1])
+    return _gram_schmidt(as_points(vectors), DEFAULT_RANK_TOL)[1].copy()

@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from .affine import from_span
+from .linalg import as_points
 from .solvers import Problem
 
 # xorshift64* constants: shifts 12/25/27, multiplier from the reference
@@ -264,8 +265,8 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def load_points(path: str) -> list[np.ndarray]:
-    """Read a point-set file: {"dim": n, "points": [[...], ...]}."""
+def load_points(path: str) -> np.ndarray:
+    """Read a point-set file {"dim": n, "points": [[...], ...]} as an (m, n) array."""
     doc = _load_json(path)
     _require("dim" in doc, f"{path}: missing field 'dim'")
     _require(
@@ -276,7 +277,7 @@ def load_points(path: str) -> list[np.ndarray]:
     _require(isinstance(doc["points"], list), f"{path}: 'points' must be an array")
     _require(len(doc["points"]) >= 1, f"{path}: 'points' is empty")
     rows = [(f"points[{i}]", p) for i, p in enumerate(doc["points"])]
-    return list(_vectors(rows, doc["dim"]))
+    return _vectors(rows, doc["dim"])
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -304,17 +305,20 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def save_points(path: str, points) -> None:
-    pts = [np.asarray(p, dtype=float) for p in points]
-    _write_json(path, {"dim": int(pts[0].shape[0]), "points": pts})
+    """Write points as load_points reads them; ValueError for what it rejects."""
+    P = as_points(points)
+    if not P.size:
+        raise ValueError("cannot save an empty point set or points of length 0")
+    _write_json(path, {"dim": P.shape[1], "points": list(P)})
 
 
-def load_problem(path: str, intersection_tol: float = 1e-8) -> Problem:
+def load_problem(path: str) -> Problem:
     """Read and validate a problem file.
 
     {"dim": n, "subspaces": [{"base": [...], "span": [[...], ...]}, ...],
      "z": [...]} with optional "seed" and "description". Spans are
-    orthonormalized on load; an empty intersection is a validation
-    error.
+    orthonormalized on load; an intersection that `Problem` finds empty
+    at DEFAULT_MEMBERSHIP_TOL is a validation error.
     """
     doc = _load_json(path)
     for key in ("dim", "subspaces", "z"):
@@ -339,7 +343,7 @@ def load_problem(path: str, intersection_tol: float = 1e-8) -> Problem:
         subspaces.append(from_span(base, span))
     (z,) = _vectors([("z", doc["z"])], n)
     try:
-        return Problem(subspaces, z, intersection_tol)
+        return Problem(subspaces, z)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -84,12 +84,12 @@ class SolverConfig:
 class Problem:
     """m >= 2 affine subspaces with nonempty intersection, plus anchor z.
 
-    The intersection is computed once here (folding pairwise
-    intersections) and validated at tolerance 1e-8; the reference
+    The intersection is computed once here, by folding `intersect` over
+    the sets, which validates it at DEFAULT_MEMBERSHIP_TOL; the reference
     solution is project(intersection, z).
     """
 
-    def __init__(self, subspaces, z, intersection_tol: float = 1e-8):
+    def __init__(self, subspaces, z):
         subspaces = list(subspaces)
         if len(subspaces) < 2:
             raise ValueError("a problem needs at least two subspaces")
@@ -104,7 +104,7 @@ class Problem:
         common = subspaces[0]
         for i, s in enumerate(subspaces[1:], start=1):
             try:
-                common = intersect(common, s, intersection_tol)
+                common = intersect(common, s)
             except NoIntersection as exc:
                 prefix = (
                     f"subspaces 0 and {i}"
@@ -235,8 +235,7 @@ def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
     # Projection onto the sum of the direction spaces, anchored at a
     # point known to lie in every subspace.
     directions = np.vstack([s.onb for s in problem.subspaces])
-    onb = np.array(orthonormalize(directions)).reshape(-1, problem.dim)
-    span_sum = AffineSubspace(base=problem.intersection.base, onb=onb)
+    span_sum = AffineSubspace(problem.intersection.base, orthonormalize(directions))
     return project(span_sum, problem.z)
 
 

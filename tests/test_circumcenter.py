@@ -275,7 +275,7 @@ def assert_same_outcome(out, center, radius, tol):
     assert out.is_empty == (center is None)
     if center is not None:
         assert np.linalg.norm(out.center - center) <= tol
-        assert out.radius == pytest.approx(radius, abs=tol)
+        assert out.radius == pytest.approx(radius, rel=0, abs=tol)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from circumlib import DegenerateStep, circumcenter
-from circumlib.cli import CSV_COLUMNS, main
+from circumlib import CircumConfig, DegenerateStep, SolverConfig, circumcenter
+from circumlib.cli import CSV_COLUMNS, _solver_config, build_parser, main
 
 
 def write_points(path, pts):
@@ -84,6 +84,15 @@ def test_cc_tolerance_flags(tmp_path, capsys):
     write_points(path, [[0, 0], [1, 0], [2, 1e-14]])
     assert main(["cc", str(path), "--rank-tol", "1e-6", "--tol", "1e-6"]) == 0
     assert capsys.readouterr().out.strip() == "EMPTY"
+
+
+def test_flag_defaults_are_the_config_defaults():
+    # The flags take their defaults from the configs, so an edit cannot fork them.
+    parser = build_parser()
+    cc = parser.parse_args(["cc", "f"])
+    assert CircumConfig(rank_tol=cc.rank_tol, verify_tol=cc.tol) == CircumConfig()
+    for argv in (["solve", "f", "--method", "cdrm"], ["bench", "f"]):
+        assert _solver_config(parser.parse_args(argv)) == SolverConfig()
 
 
 def test_cc_missing_file(tmp_path, capsys):

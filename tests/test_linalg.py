@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from circumlib.circumcenter import circumcenter
 from circumlib.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
+    _norm,
     gram,
     max_independent_subset,
     orthonormalize,
@@ -126,6 +130,7 @@ def test_max_independent_subset_selected_well_conditioned():
 def test_orthonormalize_examples():
     assert np.array_equal(orthonormalize([[2, 0]]), [[1, 0]])
     got = orthonormalize([[1, 0], [1, 1]])
+    assert isinstance(got, np.ndarray) and got.shape == (2, 2)
     assert np.allclose(got, [[1, 0], [0, 1]], atol=1e-15)
     got = orthonormalize([[1, 1], [2, 2]])
     assert len(got) == 1
@@ -183,6 +188,17 @@ def test_results_do_not_depend_on_memory_layout():
 def test_orthonormalize_skips_zero_vectors():
     got = orthonormalize([[0, 0], [3, 0], [0, 0], [0, 2]])
     assert np.allclose(got, [[1, 0], [0, 1]])
+    assert orthonormalize([[0, 0, 0]]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e-300])
+def test_norm_beyond_square_range_warns_nothing(lam):
+    # v . v overflows (or underflows); the norm is taken at the working
+    # scale, and forming the square raises no numpy warning either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _norm(np.array([lam, lam]))
+    assert got == pytest.approx(math.hypot(lam, lam), rel=4e-16)
 
 
 def test_gram_det_invariant_under_rebasing():

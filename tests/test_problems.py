@@ -280,7 +280,7 @@ def test_points_roundtrip_bits(tmp_path):
     path = tmp_path / "pts.json"
     save_points(str(path), pts)
     back = load_points(str(path))
-    assert len(back) == len(pts)
+    assert isinstance(back, np.ndarray) and back.shape == (3, 2)
     for p, q in zip(pts, back):
         assert p.tobytes() == q.tobytes()
 
@@ -292,6 +292,22 @@ def test_points_roundtrip_square(tmp_path):
     back = load_points(str(path))
     for p, q in zip(pts, back):
         assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[0, math.nan], [1, 2]], "non-finite"),
+        ([[0, 1], [1, 2, 3]], "do not form an"),
+        ([], "empty"),
+    ],
+    ids=["nan", "ragged", "empty"],
+)
+def test_save_points_rejects_what_load_points_rejects(tmp_path, points, message):
+    path = tmp_path / "pts.json"
+    with pytest.raises(ValueError, match=message):
+        save_points(str(path), points)
+    assert not path.exists()
 
 
 def test_points_missing_dim(tmp_path):
@@ -513,9 +529,9 @@ def number_rows():
     )
 
 
-# Rows near the float limit overflow inside orthonormalize; the loaded
-# rows must still match.
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+# Rows near the float limit load, and span a subspace, without a numpy
+# warning; the loaded rows must still match.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(number_rows())
 def test_loaded_numbers_match_per_number_conversion(tmp_path_factory, rows):
@@ -542,8 +558,7 @@ def test_loaded_numbers_match_per_number_conversion(tmp_path_factory, rows):
     for U in prob.subspaces:
         assert U.base.tobytes() == ref_vector(rows[0]).tobytes()
     want = orthonormalize([ref_vector(row) for row in rows])
-    got = prob.subspaces[1].onb
-    assert np.array_equal(got, np.reshape(want, got.shape), equal_nan=True)
+    assert np.array_equal(prob.subspaces[1].onb, want)
 
 
 NOT_NUMBERS = [True, False, "1", None, [1.0], {"x": 1}]
