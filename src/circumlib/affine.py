@@ -12,11 +12,13 @@ DEFAULT_MEMBERSHIP_TOL, the number `intersect` also applies to
 membership residuals. A sine does not change with the scale of the
 points or the conditioning of the spanning sets.
 
-Public entry points validate their arguments (`as_vector`, the
-ambient dimension) and then call a private kernel that trusts its
-arrays: `project` calls `_project`, `reflect` calls `_reflect` and
-`distance_to` calls `_distance`. The solvers validate a run's inputs
-once and iterate on the kernels, so both share one arithmetic path.
+Public entry points validate their arguments once (`as_vector`, and
+the ambient dimension in `_point_for` for a point and in `_principal`
+for two subspaces, DimensionMismatch when it differs) and then call a
+private kernel that trusts its arrays: `project` calls `_project`,
+`reflect` calls `_reflect` and `distance_to` calls `_distance`. The
+solvers validate a run's inputs once and iterate on the kernels, so
+both share one arithmetic path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _norm, as_points, as_vector, orthonormalize
+from .linalg import DimensionMismatch, _norm, as_points, as_vector, orthonormalize
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
@@ -44,11 +46,11 @@ class AffineSubspace:
 
     def __post_init__(self):
         base = as_vector(self.base)
-        onb = np.asarray(self.onb, dtype=float)
+        onb = as_points(self.onb)
         if onb.size == 0:
             onb = np.zeros((0, base.shape[0]))
-        if onb.ndim != 2 or onb.shape[1] != base.shape[0]:
-            raise ValueError(
+        if onb.shape[1] != base.shape[0]:
+            raise DimensionMismatch(
                 f"onb shape {onb.shape} does not match base length {base.shape[0]}"
             )
         if onb.shape[0]:
@@ -80,13 +82,15 @@ def affine_hull(points) -> AffineSubspace:
     return from_span(P[0], P[1:] - P[0])
 
 
-def _point_of(V: AffineSubspace, x) -> np.ndarray:
-    """x as a finite vector of V's ambient space, or ValueError."""
+def _point_for(subspaces, x) -> np.ndarray:
+    """x as a finite vector of the ambient space of every one of the
+    subspaces, or ValueError (DimensionMismatch for its length)."""
     x = as_vector(x)
-    if x.shape[0] != V.ambient_dim:
-        raise ValueError(
-            f"point has length {x.shape[0]}, subspace lives in R^{V.ambient_dim}"
-        )
+    for V in subspaces:
+        if V.ambient_dim != x.shape[0]:
+            raise DimensionMismatch(
+                f"point has length {x.shape[0]}, subspace lives in R^{V.ambient_dim}"
+            )
     return x
 
 
@@ -105,23 +109,24 @@ def _distance(V: AffineSubspace, x: np.ndarray) -> float:
 
 def project(V: AffineSubspace, x) -> np.ndarray:
     """Orthogonal projection of x onto V."""
-    return _project(V, _point_of(V, x))
+    return _project(V, _point_for((V,), x))
 
 
 def reflect(V: AffineSubspace, x) -> np.ndarray:
     """Reflection of x across V: 2 P_V(x) - x."""
-    return _reflect(V, _point_of(V, x))
+    return _reflect(V, _point_for((V,), x))
 
 
 def distance_to(V: AffineSubspace, x) -> float:
     """Euclidean distance from x to V."""
-    return _distance(V, _point_of(V, x))
+    return _distance(V, _point_for((V,), x))
 
 
-def _principal(Qu: np.ndarray, Qv: np.ndarray) -> tuple[np.ndarray, float]:
+def _principal(U: AffineSubspace, V: AffineSubspace) -> tuple[np.ndarray, float]:
     """Shared directions and Friedrichs cosine of two direction spaces.
 
-    Qu and Qv hold orthonormal rows. One SVD of Qu Qv^T gives the
+    DimensionMismatch unless U and V live in one R^n. With Qu and Qv
+    their orthonormal rows, one SVD of Qu Qv^T gives the
     principal-angle cosines and V's principal vectors. Cosines near 1
     cannot resolve small angles, so the vectors at angles below 45
     degrees are refined by a second SVD, of their residual off span(Qu),
@@ -130,6 +135,11 @@ def _principal(Qu: np.ndarray, Qv: np.ndarray) -> tuple[np.ndarray, float]:
     is at most DEFAULT_MEMBERSHIP_TOL, and the largest cosine among the
     other angles (0 when there are none).
     """
+    if U.ambient_dim != V.ambient_dim:
+        raise DimensionMismatch(
+            f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
+        )
+    Qu, Qv = U.onb, V.onb
     _, cos, zh = np.linalg.svd(Qu @ Qv.T)
     small = int(np.sum(cos > math.sqrt(0.5)))
     P = zh[:small] @ Qv
@@ -154,11 +164,7 @@ def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
     The direction space of the result is spanned by the directions
     whose principal-angle sine is at most DEFAULT_MEMBERSHIP_TOL.
     """
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
-        )
-    W, _ = _principal(U.onb, V.onb)
+    W, _ = _principal(U, V)
     A = np.vstack([U.onb, -V.onb]).T
     coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
     p = U.base + U.onb.T @ coef[: U.dim]
@@ -178,8 +184,4 @@ def friedrichs_cos(U: AffineSubspace, V: AffineSubspace) -> float:
     angle is left. Only the parallel (direction) spaces enter, so base
     points are irrelevant.
     """
-    if U.ambient_dim != V.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {U.ambient_dim} vs {V.ambient_dim}"
-        )
-    return _principal(U.onb, V.onb)[1]
+    return _principal(U, V)[1]

@@ -73,7 +73,7 @@ class CircumConfig:
     verify_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.verify_tol <= 0:
+        if not (self.rank_tol > 0 and self.verify_tol > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -193,13 +193,19 @@ def _ill_posed(pivot: float, top: float) -> bool:
 def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     """The sweep's center of three points in one pass; None for Empty.
 
-    With a = p_2 - p_1 and b = p_3 - p_1, a is kept when |a| exceeds
-    the sweep's threshold, and b when its residual r = b - k a,
-    k = a.b / a.a, does too. The sweep's forward substitution for the
-    two rows is then p_1 + (1/2 - t k) a + t b, t = (b.b - a.b) / (2 r.r).
-    r is formed explicitly, so small angles are not lost in the noise
-    floor of the squared Gram determinant. One kept row gives its
-    midpoint, none gives p_1.
+    Three affinely independent points x, y, z have the circumcenter
+
+        ( ||y-z||^2 <x-z, x-y> x + ||x-z||^2 <y-z, y-x> y
+          + ||x-y||^2 <z-x, z-y> z ) / K,
+        K = 2 (||y-x||^2 ||z-x||^2 - <y-x, z-x>^2),
+
+    where K is twice the Gram determinant of a = y - x and b = z - x.
+    It is computed from the residual r = b - k a, k = <a, b> / ||a||^2,
+    as x + (1/2 - t k) a + t b with t = (||b||^2 - <a, b>) / (2 ||r||^2),
+    the sweep's forward substitution for the two rows: ||a||^2 ||r||^2
+    is the Gram determinant without its squared form's rounding. a is
+    kept when |a| exceeds the sweep's threshold, and b when |r| does;
+    one kept row gives its midpoint, none gives x.
     """
     x = P[0]
     D = P[1:] - x
@@ -266,12 +272,12 @@ def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     same hull and solves for its circumcenter in the same pass; a
     duplicate's difference has no residual, so the sweep drops it like a
     dependent one. Three points take the same decisions and the same
-    forward substitution in one pass of scalar arithmetic (see
-    circumcenter_three). The candidate is then verified against every
-    point. Both decisions are relative to the set, up to the rounding
-    noise of its points (see CircumConfig), and taken at its working
-    scale (see linalg), so the outcome is covariant under scaling, over
-    the whole float range, and translation. Any degeneracy yields Empty.
+    forward substitution in one pass of scalar arithmetic (see _three).
+    The candidate is then verified against every point. Both decisions
+    are relative to the set, up to the rounding noise of its points (see
+    CircumConfig), and taken at its working scale (see linalg), so the
+    outcome is covariant under scaling, over the whole float range, and
+    translation. Any degeneracy yields Empty.
     """
     P = as_points(points)
     if not len(P):
@@ -282,25 +288,6 @@ def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
 def circumradius(points, cfg: CircumConfig = CircumConfig()) -> float:
     """Common distance to the points, +inf when the circumcenter is Empty."""
     return circumcenter(points, cfg).radius
-
-
-def circumcenter_three(x, y, z, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
-    """circumcenter() of three points in any dimension.
-
-    Three affinely independent points have the circumcenter
-
-        ( ||y-z||^2 <x-z, x-y> x + ||x-z||^2 <y-z, y-x> y
-          + ||x-y||^2 <z-x, z-y> z ) / K,
-        K = 2 (||y-x||^2 ||z-x||^2 - <y-x, z-x>^2),
-
-    where K is twice the Gram determinant of a = y - x and b = z - x.
-    circumcenter() computes this point from the residual r = b - k a,
-    k = <a, b> / ||a||^2, as x + (1/2 - t k) a + t b = x + a/2 + t r with
-    t = (||b||^2 - <a, b>) / (2 ||r||^2); ||a||^2 ||r||^2 is that Gram
-    determinant without its squared form's rounding. Duplicates, collinear
-    and ill-conditioned points are decided as for any set.
-    """
-    return _circumcenter(as_points([x, y, z]), cfg)
 
 
 def cross3(u, v) -> np.ndarray:

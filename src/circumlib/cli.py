@@ -4,9 +4,9 @@ Subcommands: cc (circumcenter of a point-set file), solve (run one
 method on a problem file), gen (write a generated problem file), bench
 (run several methods on one problem, combined CSV). Exit codes: 0 on
 success (including an EMPTY circumcenter, which is an answer), 1 on
-file parse or validation failure, 2 on solver degeneracy. The
-CIRCUM_LOG environment variable (off, info, debug) controls logging on
-stderr.
+file parse or validation failure or an unwritable output file, 2 on
+solver degeneracy. The CIRCUM_LOG environment variable (off, info,
+debug) controls logging on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 
-from .affine import NoIntersection, friedrichs_cos
+from .affine import friedrichs_cos
 from .circumcenter import CircumConfig, circumcenter
 from .solvers import (
     DegenerateStep,
@@ -90,18 +90,21 @@ def _pairwise_cf(problem: Problem) -> tuple[float, str]:
     return worst, "cf_max_pairwise"
 
 
+def _rate(trace: SolverTrace) -> str:
+    try:
+        return _fmt(estimate_rate(trace))
+    except InsufficientData:
+        return "n/a"
+
+
 def _print_summary(problem: Problem, trace: SolverTrace):
     cf, cf_label = _pairwise_cf(problem)
-    try:
-        rate = _fmt(estimate_rate(trace))
-    except InsufficientData:
-        rate = "n/a"
     print(f"method {trace.method.value}")
     print(f"iterations {trace.num_steps}")
     print(f"reason {trace.reason}")
     print(f"final_dist {_fmt(trace.dists[-1])}")
     print(f"final_residual {_fmt(trace.residuals[-1])}")
-    print(f"rate {rate}")
+    print(f"rate {_rate(trace)}")
     print(f"{cf_label} {_fmt(cf)}")
 
 
@@ -160,13 +163,9 @@ def _cmd_bench(args) -> int:
     rows: list[list] = []
     for method in methods:
         trace = run(method, problem, _solver_config(args))
-        try:
-            rate = _fmt(estimate_rate(trace))
-        except InsufficientData:
-            rate = "n/a"
         print(
             f"{method.value}: {trace.num_steps} iterations ({trace.reason}), "
-            f"final_dist {_fmt(trace.dists[-1])}, rate {rate}",
+            f"final_dist {_fmt(trace.dists[-1])}, rate {_rate(trace)}",
             file=sys.stderr,
         )
         rows.extend(_trace_rows(trace))
@@ -248,13 +247,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NoIntersection) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DegenerateStep as exc:
         print(f"solver degeneracy: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

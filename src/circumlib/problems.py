@@ -265,19 +265,23 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _dim(path: str, doc: dict) -> int:
+    """The positive integer 'dim' of a point-set or problem file."""
+    _require("dim" in doc, f"{path}: missing field 'dim'")
+    n = doc["dim"]
+    _require(type(n) is int and n >= 1, f"{path}: 'dim' must be a positive integer")
+    return n
+
+
 def load_points(path: str) -> np.ndarray:
     """Read a point-set file {"dim": n, "points": [[...], ...]} as an (m, n) array."""
     doc = _load_json(path)
-    _require("dim" in doc, f"{path}: missing field 'dim'")
-    _require(
-        type(doc["dim"]) is int and doc["dim"] >= 1,
-        f"{path}: 'dim' must be a positive integer",
-    )
+    n = _dim(path, doc)
     _require("points" in doc, f"{path}: missing field 'points'")
     _require(isinstance(doc["points"], list), f"{path}: 'points' must be an array")
     _require(len(doc["points"]) >= 1, f"{path}: 'points' is empty")
     rows = [(f"points[{i}]", p) for i, p in enumerate(doc["points"])]
-    return _vectors(rows, doc["dim"])
+    return _vectors(rows, n)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -323,10 +327,7 @@ def load_problem(path: str) -> Problem:
     doc = _load_json(path)
     for key in ("dim", "subspaces", "z"):
         _require(key in doc, f"{path}: missing field '{key}'")
-    n = doc["dim"]
-    _require(
-        type(n) is int and n >= 1, f"{path}: 'dim' must be a positive integer"
-    )
+    n = _dim(path, doc)
     _require(isinstance(doc["subspaces"], list), f"{path}: 'subspaces' must be an array")
     _require(
         len(doc["subspaces"]) >= 2, f"{path}: need at least two subspaces"

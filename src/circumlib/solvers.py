@@ -6,15 +6,16 @@ cyclic projections (map) as baselines. The reference solution is the
 projection of the problem's anchor point z onto the full intersection,
 computed once at problem construction.
 
-The public step operators validate x (`as_vector` and the ambient
-dimension) and call private kernels that trust their arrays; `run`
-validates its starting point once, iterates on the same kernels and
-checks each new iterate and the numbers it records for finiteness
-instead, so a run and the public steps compute the same numbers.
-Every kernel takes x together with its projection P_{U_1} x onto the
-first set, which all four methods need: `run` computes it once per
-iterate, to measure x (for dr, as its shadow), and hands it to the next
-step, so x_k is projected onto U_1 once per iteration.
+One table, `_KERNELS`, maps each method to its step kernel; cdrm and
+crm share one, as cdrm is crm on two sets. A kernel takes the sets, x
+and x's projection P_{U_1} x onto the first set, which all four methods
+need, and trusts its arrays. The public step operators validate x once
+(`as_vector` and the ambient dimension) and call the table; `run`
+validates its starting point once, calls the same table and checks each
+new iterate and the numbers it records for finiteness instead, so a run
+and the public steps compute the same numbers. `run` computes P_{U_1} x
+once per iterate, to measure x (for dr, as its shadow), and hands it to
+the next step, so x_k is projected onto U_1 once per iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .affine import (
     AffineSubspace,
     NoIntersection,
     _distance,
-    _point_of,
+    _point_for,
     _project,
     _reflect,
     intersect,
@@ -73,11 +74,11 @@ class SolverConfig:
     initializer: Initializer = Initializer.PROJECT_FIRST_SET
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.step_tol <= 0:
+        if type(self.max_iter) is not int or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
+        if not self.step_tol > 0:
             raise ValueError("step_tol must be positive")
-        if self.sol_tol is not None and self.sol_tol <= 0:
+        if self.sol_tol is not None and not self.sol_tol > 0:
             raise ValueError("sol_tol must be positive when set")
 
 
@@ -93,14 +94,8 @@ class Problem:
         subspaces = list(subspaces)
         if len(subspaces) < 2:
             raise ValueError("a problem needs at least two subspaces")
-        z = as_vector(z)
-        dims = {s.ambient_dim for s in subspaces}
-        if dims != {z.shape[0]}:
-            raise ValueError(
-                f"ambient dimensions {sorted(dims)} do not all match z (R^{z.shape[0]})"
-            )
         self.subspaces: list[AffineSubspace] = subspaces
-        self.z = z
+        self.z = _point_for(subspaces, z)
         common = subspaces[0]
         for i, s in enumerate(subspaces[1:], start=1):
             try:
@@ -113,7 +108,7 @@ class Problem:
                 )
                 raise NoIntersection(f"{prefix} share no point: {exc}") from exc
         self.intersection: AffineSubspace = common
-        self.solution: np.ndarray = project(common, z)
+        self.solution: np.ndarray = project(common, self.z)
 
     @property
     def dim(self) -> int:
@@ -167,18 +162,9 @@ def _circumcenter_of(points: list[np.ndarray]) -> np.ndarray:
     return out.center
 
 
-def _point_for(subspaces, x) -> np.ndarray:
-    """x validated once against every set a step visits."""
-    if not subspaces:
-        raise ValueError("a step needs at least one set")
-    for s in subspaces:
-        x = _point_of(s, x)
-    return x
-
-
 # Step kernels: x is a finite vector of the sets' ambient space and p is
 # its projection onto the first set, which run() has already computed to
-# measure x.
+# measure x and _step computes for a public step.
 
 
 def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -191,8 +177,8 @@ def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _circumcenter_of(points)
 
 
-def _dr(V: AffineSubspace, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return x - p + _project(V, 2.0 * p - x)
+def _dr(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return x - p + _project(subspaces[1], 2.0 * p - x)
 
 
 def _map(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -201,30 +187,36 @@ def _map(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p
 
 
+_KERNELS = {Method.CDRM: _crm, Method.CRM: _crm, Method.DR: _dr, Method.MAP: _map}
+
+
+def _step(method: Method, subspaces, x) -> np.ndarray:
+    """One step of method from x, validated once against every set."""
+    subspaces = list(subspaces)
+    if not subspaces:
+        raise ValueError("a step needs at least one set")
+    x = _point_for(subspaces, x)
+    return _KERNELS[method](subspaces, x, _project(subspaces[0], x))
+
+
 def cdrm_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Circumcenter of {x, R_U x, R_V R_U x}."""
-    x = _point_for((U, V), x)
-    return _crm((U, V), x, _project(U, x))
+    return _step(Method.CDRM, (U, V), x)
 
 
 def crm_step(subspaces, x) -> np.ndarray:
     """Circumcenter of x and its successive reflections through all sets."""
-    subspaces = list(subspaces)
-    x = _point_for(subspaces, x)
-    return _crm(subspaces, x, _project(subspaces[0], x))
+    return _step(Method.CRM, subspaces, x)
 
 
 def dr_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
     """Douglas-Rachford: x - P_U x + P_V(2 P_U x - x)."""
-    x = _point_for((U, V), x)
-    return _dr(V, x, _project(U, x))
+    return _step(Method.DR, (U, V), x)
 
 
 def map_step(subspaces, x) -> np.ndarray:
     """One sweep of cyclic projections."""
-    subspaces = list(subspaces)
-    x = _point_for(subspaces, x)
-    return _map(subspaces, x, _project(subspaces[0], x))
+    return _step(Method.MAP, subspaces, x)
 
 
 def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
@@ -272,14 +264,8 @@ def run(
         raise ValueError(f"{method.value} handles exactly two sets")
 
     sets = problem.subspaces
-    U, V = sets[0], sets[1]
-    if method in (Method.CDRM, Method.CRM):
-        step = lambda x, p: _crm(sets, x, p)
-    elif method is Method.DR:
-        step = lambda x, p: _dr(V, x, p)
-    else:
-        step = lambda x, p: _map(sets, x, p)
-
+    U = sets[0]
+    step = _KERNELS[method]
     shadowed = method is Method.DR
     solution = problem.solution
     trace = SolverTrace(method=method, shadows=[] if shadowed else None)
@@ -314,7 +300,7 @@ def run(
 
     reason = "max_iter"
     for k in range(cfg.max_iter):
-        x_next = step(x, p)
+        x_next = step(sets, x, p)
         step_norm = _norm(x_next - x) if np.isfinite(x_next).all() else math.inf
         p = record(x_next) if step_norm < math.inf else None
         if p is None:

@@ -24,7 +24,6 @@ from circumlib import (
     circumcenter,
     circumcenter_cross3,
     circumcenter_gram,
-    circumcenter_three,
     circumradius_cross3,
     cramer_coefficients,
     estimate_rate,
@@ -120,7 +119,7 @@ def test_acceptance_04_formula_cross_agreement():
     for _ in range(1000):
         pts = independent_triple(rng, 3)
         g = circumcenter_gram(pts)
-        three = circumcenter_three(*pts)
+        three = circumcenter(pts)
         cross = circumcenter_cross3(*pts)
         r = circumradius_cross3(*pts)
         scale = 1.0 + np.linalg.norm(g)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circumlib import (
     AffineSubspace,
+    DimensionMismatch,
     NoIntersection,
     Problem,
     affine_hull,
@@ -92,8 +93,14 @@ def test_subspace_rejects_skewed_basis():
 
 
 def test_subspace_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         AffineSubspace(base=np.zeros(3), onb=np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_subspace_rejects_non_finite_basis(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        AffineSubspace(base=np.zeros(2), onb=[[entry, 0.0]])
 
 
 # projection and reflection
@@ -123,7 +130,7 @@ def test_project_dimension_mismatch():
 def test_maps_validate_their_point():
     V = from_span([0, 0], [[1, 0]])
     for fn in (project, reflect, distance_to):
-        with pytest.raises(ValueError, match="point has length 3"):
+        with pytest.raises(DimensionMismatch, match="point has length 3"):
             fn(V, [1, 2, 3])
         with pytest.raises(ValueError, match="non-finite"):
             fn(V, [1.0, np.inf])
@@ -253,8 +260,10 @@ def test_intersect_parallel_lines():
 def test_intersect_ambient_mismatch():
     U = from_span([0, 0], [[1, 0]])
     V = from_span([0, 0, 0], [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        intersect(U, V)
+    for call in (intersect, friedrichs_cos):
+        for a, b in ((U, V), (V, U)):
+            with pytest.raises(DimensionMismatch, match="ambient dimensions differ"):
+                call(a, b)
 
 
 def test_intersect_planted_common_point():

@@ -15,7 +15,6 @@ from circumlib.circumcenter import (
     circumcenter,
     circumcenter_cross3,
     circumcenter_gram,
-    circumcenter_three,
     circumradius,
     circumradius_cross3,
     cramer_coefficients,
@@ -50,6 +49,17 @@ def conditioned_independent(rng, m, n, min_rel_sv=0.05):
         s = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
         if s[-1] >= min_rel_sv * s[0]:
             return pts
+
+
+# --- CircumConfig ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["rank_tol", "verify_tol"])
+def test_config_rejects_nan_tolerance(field):
+    # NaN passes a test of x <= 0.
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            CircumConfig(**{field: value})
 
 
 # --- dedup ----------------------------------------------------------------
@@ -318,8 +328,7 @@ def test_far_from_origin_examples():
     assert_same_outcome(out, [1e6, 5e-5], 5e-5, 1e-15)
     # A thin but non-degenerate triangle: center (0.5, 10000.00005).
     tri = np.array([[0, 0], [1, 0], [2, 1e-4]]) + t
-    for out in (circumcenter(tri), circumcenter_three(*tri)):
-        assert_same_outcome(out, [0.5, 10000.00005] + t, 10000.0, 0.1)
+    assert_same_outcome(circumcenter(tri), [0.5, 10000.00005] + t, 10000.0, 0.1)
     # Four points off a circle by 1e-3 have no circumcenter.
     assert circumcenter(np.array([[1, 0], [0, 1], [-1, 0], [0, -1.001]]) + t).is_empty
 
@@ -364,8 +373,7 @@ def test_small_right_triangle_is_not_collapsed(k):
     lam = 10.0**k
     pts = lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     expected = lam * np.array([0.5, 0.5])
-    for out in (circumcenter(pts), circumcenter_three(*pts)):
-        assert_same_outcome(out, expected, lam * math.sqrt(0.5), 1e-9 * lam)
+    assert_same_outcome(circumcenter(pts), expected, lam * math.sqrt(0.5), 1e-9 * lam)
 
 
 # --- beyond the range of squares ------------------------------------------
@@ -381,8 +389,9 @@ def test_pair_whose_squared_distance_overflows():
 @pytest.mark.parametrize("lam", [1e-170, 1e-300])
 def test_right_triangle_whose_squares_underflow(lam):
     pts = lam * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for out in (circumcenter(pts), circumcenter_three(*pts)):
-        assert_same_outcome(out, [0.5 * lam, 0.5 * lam], math.sqrt(0.5) * lam, 1e-15 * lam)
+    assert_same_outcome(
+        circumcenter(pts), [0.5 * lam, 0.5 * lam], math.sqrt(0.5) * lam, 1e-15 * lam
+    )
 
 
 def test_small_square_radius_is_accurate():
@@ -424,21 +433,21 @@ def test_cramer_beyond_square_range(lam):
         assert cramer_coefficients(np.ldexp(pts, k), 1) == ref
 
 
-# --- circumcenter_three -----------------------------------------------------
+# --- three points ---------------------------------------------------------
 
 
 def test_three_point_examples():
-    out = circumcenter_three([0, 0], [2, 0], [0, 2])
+    out = circumcenter([[0, 0], [2, 0], [0, 2]])
     assert np.allclose(out.center, [1, 1], atol=1e-12)
     assert out.radius == pytest.approx(math.sqrt(2))
-    out = circumcenter_three([-2, 0], [2, 0], [2, 0])
+    out = circumcenter([[-2, 0], [2, 0], [2, 0]])
     assert np.allclose(out.center, [0, 0], atol=1e-12)
     assert out.radius == pytest.approx(2.0)
-    assert circumcenter_three([0, 0], [1, 0], [3, 0]).is_empty
+    assert circumcenter([[0, 0], [1, 0], [3, 0]]).is_empty
 
 
 def test_three_point_all_coincident():
-    out = circumcenter_three([5, 5], [5, 5], [5, 5])
+    out = circumcenter([[5, 5], [5, 5], [5, 5]])
     assert np.array_equal(out.center, [5, 5])
     assert out.radius == 0.0
 
@@ -455,7 +464,7 @@ def test_three_point_existence_matches_independence():
             t = np.sort(rng.choice(np.arange(1, 10), size=3, replace=False))
             pts = base + np.outer(t, d)
             expect = False
-        out = circumcenter_three(*pts)
+        out = circumcenter(pts)
         assert (not out.is_empty) == expect
 
 
@@ -595,16 +604,49 @@ def test_verify_equidistant_rejects_overflowing_distance():
     assert not verify_equidistant([0, 0], [[1e200, 0], [0, 1e200], [1, 0]], 1e-8)
 
 
+def general_path_triples(rng, n):
+    """Triples of every kind the m = 3 path decides, in R^n: generic,
+    duplicated, collinear, near-collinear (sine 1e-9 to 1e-2) and
+    near-duplicate (a copy moved by 0.5 or 2 rank_tol of the largest
+    difference)."""
+    rank_tol = CircumConfig.rank_tol
+    x, y, z = rng.normal(size=(3, n))
+    a = y - x
+    triples = [[x, y, z], [x, x, z], [x, y, x], [x, y, y], [x, x, x]]
+    triples.append([x, y, x + rng.uniform(-3.0, 3.0) * a])
+    for sin in 10.0 ** rng.uniform(-9.0, -2.0, size=4):
+        triples.append(sine_triple(rng, n, sin, 1.0, rng.uniform(0.5, 2.0)))
+    for f in (0.5, 2.0):
+        d = rng.normal(size=n)
+        d *= f * rank_tol / np.linalg.norm(d)
+        triples.append([x, y, y + np.linalg.norm(a) * d])
+        triples.append([x, x + np.linalg.norm(z - x) * d, z])
+    return [np.array(t) for t in triples]
+
+
 def test_three_point_agrees_with_general_path():
+    # Appending a copy of p_1 adds a zero difference, which the sweep
+    # drops: the set of four takes the general sweep (_sweep) with the
+    # same kept rows, noise and verification as the m = 3 path (_three).
     rng = np.random.default_rng(16)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        pts = random_independent(rng, 3, n)
-        a = circumcenter(pts)
-        b = circumcenter_three(*pts)
-        scale = 1 + np.linalg.norm(a.center)
-        assert np.linalg.norm(a.center - b.center) <= 1e-9 * scale
-        assert b.radius == pytest.approx(a.radius, rel=1e-9)
+    empty = 0
+    cases = [
+        t for n in (2, 3, 7, 50) for _ in range(10) for t in general_path_triples(rng, n)
+    ]
+    for pts in cases:
+        for lam in (1.0, 1e-200, 1e200):
+            P = lam * pts
+            three = circumcenter(P)
+            sweep = circumcenter(np.vstack([P, P[:1]]))
+            assert three.is_empty == sweep.is_empty
+            empty += three.is_empty
+            if three.is_empty:
+                continue
+            # Compared in units of lam, where the norms cannot overflow.
+            r = sweep.radius / lam
+            assert np.linalg.norm(three.center / lam - sweep.center / lam) <= 1e-8 * r
+            assert abs(three.radius / lam - r) <= 1e-8 * r
+    assert 0 < empty < 3 * len(cases)
 
 
 # --- cross-product route ----------------------------------------------------

@@ -95,6 +95,43 @@ def test_flag_defaults_are_the_config_defaults():
         assert _solver_config(parser.parse_args(argv)) == SolverConfig()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cc", "tri.json", "--rank-tol", "nan"], "tolerances must be positive"),
+        (["cc", "tri.json", "--tol", "nan"], "tolerances must be positive"),
+        (
+            ["solve", "p.json", "--method", "cdrm", "--step-tol", "nan"],
+            "step_tol must be positive",
+        ),
+    ],
+    ids=["cc-rank-tol", "cc-tol", "solve-step-tol"],
+)
+def test_nan_tolerance_exit_one(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_points(tmp_path / "tri.json", [[0, 0], [1, 0], [0, 1]])
+    gen_problem(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "gen"])
+def test_unwritable_output_exit_one(tmp_path, capsys, command):
+    path = str(gen_problem(tmp_path))
+    out = str(tmp_path / "none" / "out")
+    argv = {
+        "solve": ["solve", path, "--method", "cdrm", "--csv", out],
+        "bench": ["bench", path, "--csv", out],
+        "gen": ["gen", "--n", "8", "--dims", "3,3", "--cf", "0.5", "--seed", "1", "-o", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    # bench reports each finished method on stderr before it writes.
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and repr(out) in last
+
+
 def test_cc_missing_file(tmp_path, capsys):
     assert main(["cc", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from circumlib import (
     AffineSubspace,
     DegenerateStep,
+    DimensionMismatch,
     Initializer,
     InsufficientData,
     Method,
@@ -60,8 +61,10 @@ def test_problem_needs_two_sets():
 def test_problem_ambient_mismatch():
     U = from_span([0, 0], [[1, 0]])
     V = from_span([0, 0, 0], [[1, 0, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         Problem([U, V], [1, 1])
+    with pytest.raises(DimensionMismatch):
+        Problem([U, U], [1, 1, 1])
 
 
 def test_problem_disjoint_pair_named():
@@ -94,6 +97,16 @@ def test_solver_config_validation():
         SolverConfig(step_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(sol_tol=-1.0)
+    # NaN passes a test of x <= 0, and neither a float nor a bool is a
+    # step count.
+    for field, value in (
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("step_tol", np.nan),
+        ("sol_tol", np.nan),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
 
 # step operators
@@ -117,13 +130,15 @@ def test_public_steps_validate_x():
         lambda x: map_step([U, V], x),
     )
     for step in steps:
-        with pytest.raises(ValueError, match="point has length 3"):
+        with pytest.raises(DimensionMismatch, match="point has length 3"):
             step([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="non-finite"):
             step([np.nan, 1.0])
     for step in (crm_step, map_step):
         with pytest.raises(ValueError, match="at least one set"):
             step([], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="lives in R\\^3"):
+            step([U, from_span([0, 0, 0], [[1, 0, 0]])], [1.0, 2.0])
 
 
 def test_cdrm_two_lines_one_step():
