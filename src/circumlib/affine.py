@@ -71,7 +71,7 @@ class AffineSubspace:
 
 def from_span(base, spanning) -> AffineSubspace:
     """Subspace through base spanned by the given directions."""
-    return AffineSubspace(base=as_vector(base), onb=orthonormalize(spanning))
+    return AffineSubspace(base, orthonormalize(spanning))
 
 
 def affine_hull(points) -> AffineSubspace:
@@ -170,7 +170,7 @@ def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
     p = U.base + U.onb.T @ coef[: U.dim]
     p = p - W.T @ (W @ p)
     scale = max(_norm(p), _norm(U.base), _norm(V.base))
-    gap = max(distance_to(U, p), distance_to(V, p))
+    gap = max(_distance(U, p), _distance(V, p))
     if gap > DEFAULT_MEMBERSHIP_TOL * scale:
         raise NoIntersection(f"membership residual {gap:.3e} exceeds tolerance")
     return AffineSubspace(base=p, onb=W)

@@ -242,7 +242,7 @@ def _sweep(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     return P[0] + y @ Q
 
 
-def _circumcenter(P: np.ndarray, cfg: CircumConfig) -> CircumOutcome:
+def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     """circumcenter() of a nonempty (m, n) array at its working scale;
     non-finite entries (from overflowing reflections) give Empty."""
     P, e, _, top = _scaled(P)

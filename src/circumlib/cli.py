@@ -2,20 +2,24 @@
 
 Subcommands: cc (circumcenter of a point-set file), solve (run one
 method on a problem file), gen (write a generated problem file), bench
-(run several methods on one problem, combined CSV). Exit codes: 0 on
-success (including an EMPTY circumcenter, which is an answer), 1 on
-file parse or validation failure or an unwritable output file, 2 on
-solver degeneracy. The CIRCUM_LOG environment variable (off, info,
-debug) controls logging on stderr.
+(run several methods on one problem, combined CSV). solve and bench
+share one report path, `_solve`, which opens the CSV output before the
+first run. Exit codes: 0 on success (including an EMPTY circumcenter,
+which is an answer), 1 on file parse or validation failure or an
+unwritable output file, before any method runs, 2 on solver degeneracy,
+which leaves the CSV file empty. The CIRCUM_LOG environment variable
+(off, info, debug) controls logging on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import os
 import sys
+from contextlib import nullcontext
 
 from .affine import friedrichs_cos
 from .circumcenter import CircumConfig, circumcenter
@@ -33,8 +37,6 @@ from .solvers import (
 from .problems import ParseError, generate_two_subspace, load_points, load_problem, save_problem
 
 CSV_COLUMNS = ["iter", "step_norm", "dist_to_solution", "residual", "method"]
-
-_INIT_CHOICES = {i.value: i for i in Initializer}
 
 
 def _fmt(x: float) -> str:
@@ -58,36 +60,14 @@ def _configure_logging():
 
 
 def _trace_rows(trace: SolverTrace) -> list[list]:
-    rows = []
-    for k in range(len(trace.dists)):
-        step = 0.0 if k == 0 else trace.step_norms[k - 1]
-        rows.append(
-            [k, step, trace.dists[k], trace.residuals[k], trace.method.value]
-        )
-    return rows
-
-
-def _write_csv(rows: list[list], path: str | None):
-    fh = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if path:
-            fh.close()
+    rows = zip([0.0, *trace.step_norms], trace.dists, trace.residuals)
+    return [[k, *row, trace.method.value] for k, row in enumerate(rows)]
 
 
 def _pairwise_cf(problem: Problem) -> tuple[float, str]:
     subs = problem.subspaces
-    if len(subs) == 2:
-        return friedrichs_cos(subs[0], subs[1]), "cf"
-    worst = max(
-        friedrichs_cos(subs[i], subs[j])
-        for i in range(len(subs))
-        for j in range(i + 1, len(subs))
-    )
-    return worst, "cf_max_pairwise"
+    cf = max(friedrichs_cos(U, V) for U, V in itertools.combinations(subs, 2))
+    return cf, "cf" if len(subs) == 2 else "cf_max_pairwise"
 
 
 def _rate(trace: SolverTrace) -> str:
@@ -108,6 +88,14 @@ def _print_summary(problem: Problem, trace: SolverTrace):
     print(f"{cf_label} {_fmt(cf)}")
 
 
+def _print_progress(problem: Problem, trace: SolverTrace):
+    print(
+        f"{trace.method.value}: {trace.num_steps} iterations ({trace.reason}), "
+        f"final_dist {_fmt(trace.dists[-1])}, rate {_rate(trace)}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_cc(args) -> int:
     points = load_points(args.points_file)
     cfg = CircumConfig(rank_tol=args.rank_tol, verify_tol=args.tol)
@@ -124,17 +112,36 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         max_iter=args.max_iter,
         step_tol=args.step_tol,
-        initializer=_INIT_CHOICES[args.init],
+        initializer=Initializer(args.init),
     )
 
 
-def _cmd_solve(args) -> int:
+def _solve(args, methods: str, report, default_csv=None) -> int:
+    """Run the comma-separated methods on one problem and report each run.
+
+    The problem is loaded and the CSV output (--csv, else default_csv: a
+    stream, or None for none) opened before the first run, so bad input
+    or an unwritable path fails before any work; rows follow the last run.
+    """
     problem = load_problem(args.problem_file)
-    trace = run(Method(args.method), problem, _solver_config(args))
-    _print_summary(problem, trace)
-    if args.csv:
-        _write_csv(_trace_rows(trace), args.csv)
+    methods = [Method(m.strip()) for m in methods.split(",") if m.strip()]
+    if not methods:
+        raise ParseError("--methods named no methods")
+    cfg = _solver_config(args)
+    out = open(args.csv, "w", newline="") if args.csv else nullcontext(default_csv)
+    with out as fh:
+        rows = []
+        for method in methods:
+            trace = run(method, problem, cfg)
+            report(problem, trace)
+            rows += _trace_rows(trace)
+        if fh is not None:
+            csv.writer(fh).writerows([CSV_COLUMNS, *rows])
     return 0
+
+
+def _cmd_solve(args) -> int:
+    return _solve(args, args.method, _print_summary)
 
 
 def _cmd_gen(args) -> int:
@@ -156,27 +163,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    problem = load_problem(args.problem_file)
-    methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ParseError("--methods named no methods")
-    rows: list[list] = []
-    for method in methods:
-        trace = run(method, problem, _solver_config(args))
-        print(
-            f"{method.value}: {trace.num_steps} iterations ({trace.reason}), "
-            f"final_dist {_fmt(trace.dists[-1])}, rate {_rate(trace)}",
-            file=sys.stderr,
-        )
-        rows.extend(_trace_rows(trace))
-    _write_csv(rows, args.csv)
-    return 0
+    return _solve(args, args.methods, _print_progress, default_csv=sys.stdout)
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--init",
-        choices=sorted(_INIT_CHOICES),
+        choices=sorted(i.value for i in Initializer),
         default=Initializer.PROJECT_FIRST_SET.value,
         help="starting point derived from z (default: project-first)",
     )

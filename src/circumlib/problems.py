@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .affine import from_span
+from .affine import AffineSubspace, from_span
 from .linalg import as_points
 from .solvers import Problem
 
@@ -171,9 +171,10 @@ def generate_two_subspace(
     cosine is exactly target_cf (all angles 90 degrees when it is 0);
     leftover directions are mutually orthogonal. The whole frame is then
     mapped through a seeded random orthogonal matrix and z is standard
-    normal. The single-angle construction is avoided on purpose: the
-    circumcentered iteration terminates finitely on it, which leaves no
-    tail to estimate a rate from.
+    normal. The subspaces keep the mapped frame's rows as drawn, which
+    are orthonormal already. The single-angle construction is avoided on
+    purpose: the circumcentered iteration terminates finitely on it,
+    which leaves no tail to estimate a rate from.
     """
     if dim_u < 1 or dim_v < 1:
         raise ValueError("subspace dimensions must be at least 1")
@@ -195,8 +196,8 @@ def generate_two_subspace(
     v_dirs = np.vstack([c[:, None] * e1 + s[:, None] * e2, rest[dim_u - p :]])
 
     zero = np.zeros(n)
-    U = from_span(zero, u_dirs)
-    V = from_span(zero, v_dirs)
+    U = AffineSubspace(zero, u_dirs)
+    V = AffineSubspace(zero, v_dirs)
     z = rng.normal_vector(n)
     return Problem([U, V], z)
 

@@ -9,13 +9,17 @@ computed once at problem construction.
 One table, `_KERNELS`, maps each method to its step kernel; cdrm and
 crm share one, as cdrm is crm on two sets. A kernel takes the sets, x
 and x's projection P_{U_1} x onto the first set, which all four methods
-need, and trusts its arrays. The public step operators validate x once
-(`as_vector` and the ambient dimension) and call the table; `run`
-validates its starting point once, calls the same table and checks each
-new iterate and the numbers it records for finiteness instead, so a run
-and the public steps compute the same numbers. `run` computes P_{U_1} x
-once per iterate, to measure x (for dr, as its shadow), and hands it to
-the next step, so x_k is projected onto U_1 once per iteration.
+need, and trusts its arrays; the circumcentered kernel hands its
+reflection points straight to the circumcenter kernel and raises
+DegenerateStep itself when they have none. The public step operators
+validate x once (`as_vector` and the ambient dimension) and call the
+table. `Problem` validates z once and projects it with the kernel, as
+the initializers do; `run` validates its starting point once, calls the
+same table and checks each new iterate and the numbers it records for
+finiteness instead, so a run and the public steps compute the same
+numbers. `run` computes P_{U_1} x once per iterate, to measure x (for
+dr, as its shadow), and hands it to the next step, so x_k is projected
+onto U_1 once per iteration.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ from .affine import (
     _point_for,
     _project,
     _reflect,
+    from_span,
     intersect,
-    project,
 )
-from .circumcenter import CircumConfig, _circumcenter
-from .linalg import _norm, as_vector, orthonormalize
+from .circumcenter import _circumcenter
+from .linalg import _norm, as_vector
 
 log = logging.getLogger("circumlib.solvers")
 
@@ -108,7 +112,7 @@ class Problem:
                 )
                 raise NoIntersection(f"{prefix} share no point: {exc}") from exc
         self.intersection: AffineSubspace = common
-        self.solution: np.ndarray = project(common, self.z)
+        self.solution: np.ndarray = _project(common, self.z)
 
     @property
     def dim(self) -> int:
@@ -147,21 +151,6 @@ class SolverTrace:
         return pts[-1]
 
 
-_CC_CFG = CircumConfig()
-
-
-def _circumcenter_of(points: list[np.ndarray]) -> np.ndarray:
-    """Circumcenter of a step's reflection points, which need no re-validation.
-
-    Reflections that overflowed make the circumcenter Empty, so they end
-    the step here too.
-    """
-    out = _circumcenter(np.array(points), _CC_CFG)
-    if out.is_empty:
-        raise DegenerateStep("circumcenter of the reflection set is empty")
-    return out.center
-
-
 # Step kernels: x is a finite vector of the sets' ambient space and p is
 # its projection onto the first set, which run() has already computed to
 # measure x and _step computes for a public step.
@@ -174,7 +163,11 @@ def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     for s in subspaces[1:]:
         y = _reflect(s, y)
         points.append(y)
-    return _circumcenter_of(points)
+    # Reflections that overflowed make the circumcenter Empty too.
+    out = _circumcenter(np.array(points))
+    if out.is_empty:
+        raise DegenerateStep("circumcenter of the reflection set is empty")
+    return out.center
 
 
 def _dr(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -223,12 +216,11 @@ def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
     if initializer is Initializer.RAW_Z:
         return problem.z.copy()
     if initializer is Initializer.PROJECT_FIRST_SET:
-        return project(problem.subspaces[0], problem.z)
+        return _project(problem.subspaces[0], problem.z)
     # Projection onto the sum of the direction spaces, anchored at a
     # point known to lie in every subspace.
     directions = np.vstack([s.onb for s in problem.subspaces])
-    span_sum = AffineSubspace(problem.intersection.base, orthonormalize(directions))
-    return project(span_sum, problem.z)
+    return _project(from_span(problem.intersection.base, directions), problem.z)
 
 
 def run(
@@ -341,10 +333,9 @@ def estimate_rate(trace: SolverTrace) -> float:
     if not ds or ds[0] <= 0.0:
         raise InsufficientData("starting distance is zero")
     floor = 100.0 * np.finfo(float).eps * ds[0]
-    if sum(1 for d in ds if d > floor) < 5:
-        raise InsufficientData(
-            f"only {sum(1 for d in ds if d > floor)} distances above noise floor"
-        )
+    above = sum(1 for d in ds if d > floor)
+    if above < 5:
+        raise InsufficientData(f"only {above} distances above noise floor")
     start = len(ds) // 2
     logs = []
     for k in range(start, len(ds) - 1):

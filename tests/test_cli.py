@@ -117,7 +117,7 @@ def test_nan_tolerance_exit_one(tmp_path, capsys, monkeypatch, argv, message):
 
 
 @pytest.mark.parametrize("command", ["solve", "bench", "gen"])
-def test_unwritable_output_exit_one(tmp_path, capsys, command):
+def test_unwritable_output_exit_one(tmp_path, capsys, monkeypatch, command):
     path = str(gen_problem(tmp_path))
     out = str(tmp_path / "none" / "out")
     argv = {
@@ -125,11 +125,15 @@ def test_unwritable_output_exit_one(tmp_path, capsys, command):
         "bench": ["bench", path, "--csv", out],
         "gen": ["gen", "--n", "8", "--dims", "3,3", "--cf", "0.5", "--seed", "1", "-o", out],
     }[command]
+    runs = []
+    monkeypatch.setattr("circumlib.cli.run", lambda *a: runs.append(a))
     capsys.readouterr()
     assert main(argv) == 1
-    # bench reports each finished method on stderr before it writes.
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: ") and repr(out) in last
+    # The output is opened before any method runs, so nothing is reported.
+    captured = capsys.readouterr()
+    assert captured.out == "" and runs == []
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and repr(out) in line
 
 
 def test_cc_missing_file(tmp_path, capsys):
@@ -292,6 +296,11 @@ def test_solve_degeneracy_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("circumlib.cli.run", boom)
     assert main(["solve", str(path), "--method", "cdrm"]) == 2
     assert "solver degeneracy" in capsys.readouterr().err
+    # The CSV file is opened before the run and left empty.
+    out_csv = tmp_path / "trace.csv"
+    assert main(["solve", str(path), "--method", "cdrm", "--csv", str(out_csv)]) == 2
+    assert "solver degeneracy" in capsys.readouterr().err
+    assert out_csv.read_bytes() == b""
 
 
 # bench

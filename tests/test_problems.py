@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circumlib import (
+    AffineSubspace,
     ParseError,
     Problem,
     Xorshift64Star,
@@ -245,9 +246,10 @@ def test_generate_matches_reference_construction():
         for i in range(d):
             c = cf * (d - i) / d
             v_dirs.append(c * Q[:, 2 * i] + math.sqrt(1.0 - c * c) * Q[:, 2 * i + 1])
+        # The subspaces keep the frame's rows as drawn, bit for bit.
         zero = np.zeros(n)
         want = Problem(
-            [from_span(zero, u_dirs), from_span(zero, v_dirs)],
+            [AffineSubspace(zero, u_dirs), AffineSubspace(zero, v_dirs)],
             np.array(normals[n * n :]),
         )
         got = generate_two_subspace(n, d, d, cf, seed)
