@@ -20,7 +20,10 @@ residual r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
 forward-substitution rules for those two rows in scalar arithmetic.
 It settles every triple itself, duplicates and collinear ones
 included. Both paths end in the same equidistance check against every
-point.
+point. It measures the distances on the n-vectors p_i - center and takes
+their min, max and mean on the m floats in Python, which gives the bits
+of numpy's reductions without their call cost (the mean of 8 or more
+distances still uses numpy's pairwise sum).
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def verify_equidistant(p, points, tol: float) -> bool:
         )
     S, _, sq, _ = _scaled(np.vstack([P, p]))
     dists = _distances(S[:-1], S[-1])
-    noise = _NOISE * math.sqrt(sq[:-1].max())
+    noise = _NOISE * math.sqrt(max(sq[:-1]))
     return _equidistant(float(dists.min()), float(dists.max()), tol, noise)
 
 
@@ -206,12 +209,17 @@ def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     is the Gram determinant without its squared form's rounding. a is
     kept when |a| exceeds the sweep's threshold, and b when |r| does;
     one kept row gives its midpoint, none gives x.
+
+    The numpy calls are the few the arithmetic needs: one Gram product
+    for a.a, a.b and b.b, two vector operations for r, one product for
+    r.r and four vector operations for the center, whose summation order
+    is the one above. The rest is scalar arithmetic on Python floats.
     """
     x = P[0]
     D = P[1:] - x
     (aa, ab), (_, bb) = (D @ D.T).tolist()
     top = max(aa, bb)
-    a, b = D
+    a, b = D[0], D[1]
     threshold = max(tol * math.sqrt(top), noise)
     if math.sqrt(aa) > threshold:
         k = ab / aa
@@ -245,20 +253,23 @@ def _sweep(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
 def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     """circumcenter() of a nonempty (m, n) array at its working scale;
     non-finite entries (from overflowing reflections) give Empty."""
-    P, e, _, top = _scaled(P)
-    noise = _NOISE * math.sqrt(top)
-    if not noise < math.inf:
+    P, e, sq, top = _scaled(P)
+    # A row with an inf or NaN entry makes the sum of squares inf or NaN.
+    if not sum(sq) < math.inf:
         return CircumOutcome.empty()
+    noise = _NOISE * math.sqrt(top)
     if len(P) == 3:
         center = _three(P, cfg.rank_tol, noise)
     else:
         center = _sweep(P, cfg.rank_tol, noise)
     if center is None:
         return CircumOutcome.empty()
-    dists = _distances(P, center)
-    if not _equidistant(float(dists.min()), float(dists.max()), cfg.verify_tol, noise):
+    R = P - center
+    d = [math.sqrt(s) for s in np.einsum("ij,ij->i", R, R).tolist()]
+    if not _equidistant(min(d), max(d), cfg.verify_tol, noise):
         return CircumOutcome.empty()
-    radius = dists.sum() / len(dists)
+    # The sum numpy gave: in sequence below 8 terms, pairwise from 8.
+    radius = (sum(d) if len(d) < 8 else float(np.sum(d))) / len(d)
     if e:
         center, radius = np.ldexp(center, e), np.ldexp(radius, e)
     return CircumOutcome.exists(center, radius)

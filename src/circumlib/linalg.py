@@ -62,15 +62,17 @@ def _exponent(V: np.ndarray) -> int:
 
 def _scaled(V: np.ndarray):
     """(W, e, sq, top): V at its working scale W = 2^-e V (see the module
-    docstring), with W's squared row norms sq and their largest top."""
-    sq = np.einsum("ij,ij->i", V, V)
-    top = sq.max(initial=0.0)
+    docstring), with W's squared row norms sq, a list of floats, and their
+    largest top. Python's max passes over a NaN after the first entry, so
+    a V that may hold one is tested on sum(sq), not on top."""
+    sq = np.einsum("ij,ij->i", V, V).tolist()
+    top = max(sq, default=0.0)
     if _TINY <= top <= _HUGE:
         return V, 0, sq, top
     e = _exponent(V)
     V = np.ldexp(V, -e)
-    sq = np.einsum("ij,ij->i", V, V)
-    return V, e, sq, sq.max(initial=0.0)
+    sq = np.einsum("ij,ij->i", V, V).tolist()
+    return V, e, sq, max(sq, default=0.0)
 
 
 def _norm(v: np.ndarray) -> float:

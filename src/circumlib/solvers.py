@@ -15,7 +15,8 @@ DegenerateStep itself when they have none. The public step operators
 validate x once (`as_vector` and the ambient dimension) and call the
 table. `Problem` validates z once and projects it with the kernel, as
 the initializers do; `run` validates its starting point once, calls the
-same table and checks each new iterate and the numbers it records for
+same table and checks each new iterate (through its step norm, which an
+inf or NaN entry makes inf or NaN) and the numbers it records for
 finiteness instead, so a run and the public steps compute the same
 numbers. `run` computes P_{U_1} x once per iterate, to measure x (for
 dr, as its shadow), and hands it to the next step, so x_k is projected
@@ -293,7 +294,8 @@ def run(
     reason = "max_iter"
     for k in range(cfg.max_iter):
         x_next = step(sets, x, p)
-        step_norm = _norm(x_next - x) if np.isfinite(x_next).all() else math.inf
+        # An inf or NaN entry of x_next makes its step norm inf or NaN.
+        step_norm = _norm(x_next - x)
         p = record(x_next) if step_norm < math.inf else None
         if p is None:
             reason = "non_finite"

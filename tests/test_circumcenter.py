@@ -596,6 +596,20 @@ def test_verification_rescales_only_on_overflow(monkeypatch):
         assert_same_outcome(got, [0.0, -R], R, 1e-12 * R)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_kernel_gives_empty_for_any_non_finite_row(bad):
+    # The solvers hand reflections that overflowed straight to the
+    # kernel. An inf or NaN entry in any row, not only the first, gives
+    # Empty on both paths.
+    rng = np.random.default_rng(21)
+    for m in (3, 4):
+        for row in range(m):
+            for scale in (1.0, 1e200):
+                P = scale * rng.normal(size=(m, 5))
+                P[row, 2] = bad
+                assert cc_mod._circumcenter(P).is_empty
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "error:invalid value encountered")
 def test_verify_equidistant_rejects_overflowing_distance():
     # Distances 1e200 (inf once squared) and 1: an infinite largest

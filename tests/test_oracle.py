@@ -131,6 +131,25 @@ def cases():
             out.append((f"duplicates n={n}", pts))
         p = random_point(rng, n)
         out.append((f"duplicates-only n={n}", [p, p, p]))
+    for n in (50, 200):
+        # Triples in the dimensions of a cdrm step. Each comes again moved
+        # by an integer vector of norm about 1e6, far above its extent, so
+        # that the noise floor 64 eps max |p_i| enters the decisions.
+        s = round(1e6 / math.sqrt(n))
+        shift = [rng.choice((-s, s)) for _ in range(n)]
+        for _ in range(2):
+            x, y, z = (random_point(rng, n) for _ in range(3))
+            t = rng.choice((-2, -1, 2, 3))
+            triples = [
+                ("generic", [x, y, z]),
+                ("collinear", [x, y, [a + t * (b - a) for a, b in zip(x, y)]]),
+                ("duplicated", [x, y, x]),
+                ("duplicated", [x, x, z]),
+            ]
+            for kind, pts in triples:
+                out.append((f"cdrm {kind} n={n}", pts))
+                moved = [[a + b for a, b in zip(p, shift)] for p in pts]
+                out.append((f"cdrm {kind} moved n={n}", moved))
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the reflection solvers, trace machinery, and rate estimation."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from circumlib import (
     SolverTrace,
     affine_hull,
     cdrm_step,
+    circumcenter,
     crm_step,
     distance_to,
     dr_step,
@@ -411,6 +413,32 @@ def test_run_non_finite_iterate_is_named():
     assert_finite_trace(trace)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("method", list(Method))
+def test_run_ends_on_an_inf_or_nan_iterate(monkeypatch, method, bad):
+    # run tests a new iterate only through its step norm, which an inf or
+    # NaN entry makes inf or NaN: the run ends as non_finite before the
+    # iterate is measured, and no numpy warning is raised on the way.
+    prob = generate_two_subspace(20, 5, 5, 0.8, seed=3)
+    kernel = solvers_mod._KERNELS[method]
+    calls = []
+
+    def breaks_on_third_call(sets, x, p):
+        calls.append(None)
+        x_next = kernel(sets, x, p)
+        if len(calls) == 3:
+            x_next[1] = bad
+        return x_next
+
+    monkeypatch.setitem(solvers_mod._KERNELS, method, breaks_on_third_call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(method, prob, SolverConfig())
+    assert trace.reason == "non_finite"
+    assert trace.num_steps == 2
+    assert_finite_trace(trace)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_run_start_with_overflowing_shadow_raises():
@@ -455,6 +483,19 @@ def test_run_matches_public_steps_bit_for_bit(method):
         obs = project(U, x) if method is Method.DR else x
         assert trace.dists[k] == np.linalg.norm(obs - prob.solution)
         assert trace.residuals[k] == max(distance_to(s, obs) for s in prob.subspaces)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_steps_are_the_circumcenter_of_the_reflections_bit_for_bit(n):
+    # The solver's steps and the public circumcenter share one kernel.
+    rng = np.random.default_rng(n)
+    for seed in range(1, 6):
+        U, V = generate_two_subspace(n, n // 4, n // 4, 0.8, seed=seed).subspaces
+        for x in rng.normal(size=(3, n)) * [[1.0], [1e-3], [1e3]]:
+            y = reflect(U, x)
+            center = circumcenter([x, y, reflect(V, y)]).center
+            assert np.array_equal(cdrm_step(U, V, x), center)
+            assert np.array_equal(crm_step([U, V], x), center)
 
 
 def test_run_accepts_string_method():
