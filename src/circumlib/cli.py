@@ -6,9 +6,9 @@ method on a problem file), gen (write a generated problem file), bench
 share one report path, `_solve`, which opens the CSV output before the
 first run. Exit codes: 0 on success (including an EMPTY circumcenter,
 which is an answer), 1 on file parse or validation failure or an
-unwritable output file, before any method runs, 2 on solver degeneracy,
-which leaves the CSV file empty. The CIRCUM_LOG environment variable
-(off, info, debug) controls logging on stderr.
+unwritable output file or a method that does not take the problem's
+number of sets, before any method runs, 2 on solver degeneracy, which
+leaves the CSV file empty.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import logging
-import os
 import sys
 from contextlib import nullcontext
 
@@ -41,22 +39,6 @@ CSV_COLUMNS = ["iter", "step_norm", "dist_to_solution", "residual", "method"]
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _configure_logging():
-    level_name = os.environ.get("CIRCUM_LOG", "off").lower()
-    levels = {"off": None, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        print(
-            f"warning: CIRCUM_LOG={level_name!r} not in (off, info, debug); using off",
-            file=sys.stderr,
-        )
-        return
-    level = levels[level_name]
-    if level is not None:
-        logging.basicConfig(
-            level=level, stream=sys.stderr, format="%(name)s %(levelname)s %(message)s"
-        )
 
 
 def _trace_rows(trace: SolverTrace) -> list[list]:
@@ -112,21 +94,28 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         max_iter=args.max_iter,
         step_tol=args.step_tol,
-        initializer=Initializer(args.init),
+        initializer=args.init,
     )
 
 
-def _solve(args, methods: str, report, default_csv=None) -> int:
+def _solve(args, methods: str | None, report, default_csv=None) -> int:
     """Run the comma-separated methods on one problem and report each run.
 
-    The problem is loaded and the CSV output (--csv, else default_csv: a
-    stream, or None for none) opened before the first run, so bad input
-    or an unwritable path fails before any work; rows follow the last run.
+    methods=None runs every method that takes the problem's number of
+    sets. The problem is loaded, each method checked against its sets and
+    the CSV output (--csv, else default_csv: a stream, or None for none)
+    opened before the first run, so a bad request or an unwritable path
+    fails before any work; rows follow the last run.
     """
     problem = load_problem(args.problem_file)
-    methods = [Method(m.strip()) for m in methods.split(",") if m.strip()]
-    if not methods:
-        raise ParseError("--methods named no methods")
+    if methods is None:
+        methods = [m for m in Method if m.takes(problem.num_sets)]
+    else:
+        methods = [Method(m.strip()) for m in methods.split(",") if m.strip()]
+        if not methods:
+            raise ParseError("--methods named no methods")
+    for method in methods:
+        method.check_sets(problem.num_sets)
     cfg = _solver_config(args)
     out = open(args.csv, "w", newline="") if args.csv else nullcontext(default_csv)
     with out as fh:
@@ -170,8 +159,8 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--init",
         choices=sorted(i.value for i in Initializer),
-        default=Initializer.PROJECT_FIRST_SET.value,
-        help="starting point derived from z (default: project-first)",
+        default=SolverConfig.initializer.value,
+        help="starting point derived from z (default: %(default)s)",
     )
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--step-tol", type=float, default=SolverConfig.step_tol)
@@ -223,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("problem_file")
     p_bench.add_argument(
         "--methods",
-        default=",".join(m.value for m in Method),
-        help="comma-separated subset of cdrm,crm,dr,map",
+        help="comma-separated subset of cdrm,crm,dr,map (default: every "
+        "method that takes the problem's number of sets)",
     )
     _add_solver_args(p_bench)
     p_bench.add_argument(
@@ -235,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

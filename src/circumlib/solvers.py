@@ -26,7 +26,6 @@ onto U_1 once per iteration.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -44,8 +43,6 @@ from .affine import (
 )
 from .circumcenter import _circumcenter
 from .linalg import _norm, as_vector
-
-log = logging.getLogger("circumlib.solvers")
 
 
 class DegenerateStep(RuntimeError):
@@ -70,6 +67,15 @@ class Method(str, enum.Enum):
     DR = "dr"
     MAP = "map"
 
+    def takes(self, num_sets: int) -> bool:
+        """cdrm and dr take exactly two sets; crm and map take any number."""
+        return num_sets == 2 or self in (Method.CRM, Method.MAP)
+
+    def check_sets(self, num_sets: int) -> None:
+        """Raise ValueError unless this method takes num_sets sets."""
+        if not self.takes(num_sets):
+            raise ValueError(f"{self.value} handles exactly two sets")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -85,6 +91,8 @@ class SolverConfig:
             raise ValueError("step_tol must be positive")
         if self.sol_tol is not None and not self.sol_tol > 0:
             raise ValueError("sol_tol must be positive when set")
+        # Parsed like run's method, so an unknown name raises ValueError.
+        object.__setattr__(self, "initializer", Initializer(self.initializer))
 
 
 class Problem:
@@ -241,11 +249,12 @@ def run(
       recorded, so every recorded number is finite;
     - "max_iter": max_iter steps were taken.
 
-    A starting point whose numbers overflow raises ValueError. A
-    circumcentered step whose reflection points have no circumcenter, or
-    overflowed to inf, raises DegenerateStep. dr traces also carry
-    the shadow sequence P_{U_1} x_k and measure distances and residuals
-    on it.
+    A method that does not take the problem's number of sets
+    (`Method.check_sets`) and a starting point whose numbers overflow
+    raise ValueError. A circumcentered step whose reflection points have
+    no circumcenter, or overflowed to inf, raises DegenerateStep. dr
+    traces also carry the shadow sequence P_{U_1} x_k and measure
+    distances and residuals on it.
 
     Each iterate x_k is projected onto U_1 once: that projection gives
     its residual against U_1 (for dr, its shadow) and is handed to the
@@ -253,8 +262,7 @@ def run(
     and crm, dr's P_U x_k and map's first projection.
     """
     method = Method(method)
-    if method in (Method.CDRM, Method.DR) and problem.num_sets != 2:
-        raise ValueError(f"{method.value} handles exactly two sets")
+    method.check_sets(problem.num_sets)
 
     sets = problem.subspaces
     U = sets[0]
@@ -292,7 +300,7 @@ def run(
         raise ValueError("the starting point's shadow, distance or residual overflows")
 
     reason = "max_iter"
-    for k in range(cfg.max_iter):
+    for _ in range(cfg.max_iter):
         x_next = step(sets, x, p)
         # An inf or NaN entry of x_next makes its step norm inf or NaN.
         step_norm = _norm(x_next - x)
@@ -302,24 +310,13 @@ def run(
             break
         x = x_next
         trace.step_norms.append(step_norm)
-        dist = trace.dists[-1]
-        log.debug(
-            "%s iter %d: step %.3e dist %.3e", method.value, k + 1, step_norm, dist
-        )
-        if cfg.sol_tol is not None and dist <= cfg.sol_tol:
+        if cfg.sol_tol is not None and trace.dists[-1] <= cfg.sol_tol:
             reason = "sol_tol"
             break
         if step_norm <= cfg.step_tol:
             reason = "step_tol"
             break
     trace.reason = reason
-    log.info(
-        "%s finished after %d steps (%s), final dist %.3e",
-        method.value,
-        trace.num_steps,
-        reason,
-        trace.dists[-1],
-    )
     return trace
 
 

@@ -1,8 +1,7 @@
-"""CLI tests: output formats, exit codes, determinism, logging."""
+"""CLI tests: output formats, exit codes, determinism, a quiet stderr, cold start."""
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -25,6 +24,17 @@ def write_two_lines(path):
             {"base": [0, 0], "span": [[1, 1]]},
         ],
         "z": [1.25, 2.5],
+    }
+    path.write_text(json.dumps(doc) + "\n")
+
+
+def write_three_planes(path):
+    """The three coordinate planes of R^3, which meet at the origin."""
+    spans = ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]])
+    doc = {
+        "dim": 3,
+        "subspaces": [{"base": [0, 0, 0], "span": span} for span in spans],
+        "z": [1, 2, 3],
     }
     path.write_text(json.dumps(doc) + "\n")
 
@@ -134,6 +144,28 @@ def test_unwritable_output_exit_one(tmp_path, capsys, monkeypatch, command):
     assert captured.out == "" and runs == []
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and repr(out) in line
+
+
+@pytest.mark.parametrize(
+    "argv, method",
+    [
+        (["solve", "three.json", "--method", "dr"], "dr"),
+        (["bench", "three.json", "--methods", "crm,cdrm"], "cdrm"),
+    ],
+    ids=["solve-dr", "bench-crm-cdrm"],
+)
+def test_method_rejecting_the_sets_exit_one(tmp_path, capsys, monkeypatch, argv, method):
+    # Every requested method is checked against the problem's sets before
+    # the output is opened or any method runs.
+    monkeypatch.chdir(tmp_path)
+    write_three_planes(tmp_path / "three.json")
+    (tmp_path / "keep.csv").write_text("keep\n")
+    runs = []
+    monkeypatch.setattr("circumlib.cli.run", lambda *a: runs.append(a))
+    assert main([*argv, "--csv", "keep.csv"]) == 1
+    assert capsys.readouterr() == ("", f"error: {method} handles exactly two sets\n")
+    assert runs == []
+    assert (tmp_path / "keep.csv").read_bytes() == b"keep\n"
 
 
 def test_cc_missing_file(tmp_path, capsys):
@@ -331,6 +363,18 @@ def test_bench_subset_to_stdout(tmp_path, capsys):
     assert "cdrm:" in captured.err and "map:" in captured.err
 
 
+def test_bench_default_methods_take_the_sets(tmp_path, capsys):
+    path = tmp_path / "three.json"
+    write_three_planes(path)
+    assert main(["bench", str(path)]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert rows[0] == CSV_COLUMNS
+    assert {r[4] for r in rows[1:]} == {"crm", "map"}
+    assert "crm:" in captured.err and "map:" in captured.err
+    assert "cdrm" not in captured.err and "dr:" not in captured.err
+
+
 def test_bench_unknown_method(tmp_path, capsys):
     path = gen_problem(tmp_path)
     capsys.readouterr()
@@ -345,56 +389,30 @@ def test_bench_empty_methods(tmp_path, capsys):
     assert "no methods" in capsys.readouterr().err
 
 
-# logging
+# stderr
 
 
-def run_cli_subprocess(args, env_log):
-    env = dict(os.environ)
-    env["CIRCUM_LOG"] = env_log
-    code = (
-        "import sys\n"
-        "from circumlib.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code, *args],
+def test_solve_stderr_is_empty(tmp_path, capsys):
+    path = gen_problem(tmp_path)
+    capsys.readouterr()
+    res = subprocess.run(
+        [sys.executable, "-m", "circumlib.cli", "solve", str(path), "--method", "cdrm"],
         capture_output=True,
         text=True,
-        env=env,
     )
-
-
-def test_log_debug_traces_iterations(tmp_path, capsys):
-    path = gen_problem(tmp_path)
-    capsys.readouterr()
-    res = run_cli_subprocess(["solve", str(path), "--method", "cdrm"], "debug")
     assert res.returncode == 0
-    assert "circumlib.solvers" in res.stderr
-    assert "iter" in res.stderr
-
-
-def test_log_off_is_quiet(tmp_path, capsys):
-    path = gen_problem(tmp_path)
-    capsys.readouterr()
-    res = run_cli_subprocess(["solve", str(path), "--method", "cdrm"], "off")
-    assert res.returncode == 0
-    assert "circumlib.solvers" not in res.stderr
-
-
-def test_log_unknown_level_warns(tmp_path, capsys):
-    path = gen_problem(tmp_path)
-    capsys.readouterr()
-    res = run_cli_subprocess(["solve", str(path), "--method", "map"], "loud")
-    assert res.returncode == 0
-    assert "CIRCUM_LOG" in res.stderr
+    assert res.stderr == ""
+    assert summary_dict(res.stdout)["method"] == "cdrm"
 
 
 # cold start
 
 
-def test_import_does_not_load_scipy():
-    # scipy.linalg alone used to cost about 350 ms of every CLI start
-    code = "import sys, circumlib.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "logging"])
+def test_import_does_not_load(module):
+    # scipy.linalg alone used to cost about 350 ms of every CLI start,
+    # logging about 3 ms.
+    code = f"import sys, circumlib.cli; print({module!r} in sys.modules)"
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )

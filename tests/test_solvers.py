@@ -109,6 +109,20 @@ def test_solver_config_validation():
     ):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+    # The initializer is parsed by name, as run parses its method.
+    with pytest.raises(ValueError, match="bogus"):
+        SolverConfig(initializer="bogus")
+
+
+def test_initializer_by_name():
+    # z lies off the sum of the two directions, so the project-sum start
+    # differs from it.
+    x_axis = from_span([0, 0, 0], [[1, 0, 0]])
+    y_axis = from_span([0, 0, 0], [[0, 1, 0]])
+    prob = Problem([x_axis, y_axis], [1, 2, 3])
+    assert SolverConfig(initializer="z") == SolverConfig(initializer=Initializer.RAW_Z)
+    trace = run(Method.MAP, prob, SolverConfig(initializer="z"))
+    assert trace.iterates[0].tobytes() == prob.z.tobytes()
 
 
 # step operators
