@@ -3,12 +3,11 @@
 Subcommands: cc (circumcenter of a point-set file), solve (run one
 method on a problem file), gen (write a generated problem file), bench
 (run several methods on one problem, combined CSV). solve and bench
-share one report path, `_solve`, which opens the CSV output before the
-first run. Exit codes: 0 on success (including an EMPTY circumcenter,
-which is an answer), 1 on file parse or validation failure or an
-unwritable output file or a method that does not take the problem's
-number of sets, before any method runs, 2 on solver degeneracy, which
-leaves the CSV file empty.
+share one report path, `_solve`. Exit codes: 0 on success (an EMPTY
+circumcenter and a run that ends "degenerate" or "non_finite" are
+answers), 1 on file parse or validation failure, an unwritable output
+file or a method that does not take the problem's number of sets. A
+request that exits 1 leaves an existing --csv file as it was.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import os
 import sys
 from contextlib import nullcontext
 
 from .affine import friedrichs_cos
 from .circumcenter import CircumConfig, circumcenter
 from .solvers import (
-    DegenerateStep,
     InsufficientData,
     Initializer,
     Method,
@@ -105,7 +104,8 @@ def _solve(args, methods: str | None, report, default_csv=None) -> int:
     sets. The problem is loaded, each method checked against its sets and
     the CSV output (--csv, else default_csv: a stream, or None for none)
     opened before the first run, so a bad request or an unwritable path
-    fails before any work; rows follow the last run.
+    fails before any work; a --csv file is truncated only as the rows are
+    written, after the last run, so a failed request leaves it as it was.
     """
     problem = load_problem(args.problem_file)
     if methods is None:
@@ -117,13 +117,15 @@ def _solve(args, methods: str | None, report, default_csv=None) -> int:
     for method in methods:
         method.check_sets(problem.num_sets)
     cfg = _solver_config(args)
-    out = open(args.csv, "w", newline="") if args.csv else nullcontext(default_csv)
+    out = open(args.csv, "a", newline="") if args.csv else nullcontext(default_csv)
     with out as fh:
         rows = []
         for method in methods:
             trace = run(method, problem, cfg)
             report(problem, trace)
             rows += _trace_rows(trace)
+        if args.csv and os.path.isfile(args.csv):
+            fh.truncate(0)  # rows are appended; a pipe or device is not cut
         if fh is not None:
             csv.writer(fh).writerows([CSV_COLUMNS, *rows])
     return 0
@@ -228,9 +230,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DegenerateStep as exc:
-        print(f"solver degeneracy: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

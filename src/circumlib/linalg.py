@@ -78,13 +78,14 @@ def _scaled(V: np.ndarray):
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array: sqrt(v . v), the number
     np.linalg.norm gives, taken at v's working scale (see the module
-    docstring) when v . v is out of range."""
+    docstring) when v . v is out of range; a norm that overflows is inf, silently."""
     sq = float(np.vdot(v, v))
     if _TINY <= sq <= _HUGE:
         return math.sqrt(sq)
     e = _exponent(v)
     u = np.ldexp(v, -e)
-    return float(np.ldexp(math.sqrt(float(np.vdot(u, u))), e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(float(np.vdot(u, u))), e))
 
 
 def as_vector(x) -> np.ndarray:

@@ -9,18 +9,18 @@ computed once at problem construction.
 One table, `_KERNELS`, maps each method to its step kernel; cdrm and
 crm share one, as cdrm is crm on two sets. A kernel takes the sets, x
 and x's projection P_{U_1} x onto the first set, which all four methods
-need, and trusts its arrays; the circumcentered kernel hands its
-reflection points straight to the circumcenter kernel and raises
-DegenerateStep itself when they have none. The public step operators
-validate x once (`as_vector` and the ambient dimension) and call the
-table. `Problem` validates z once and projects it with the kernel, as
-the initializers do; `run` validates its starting point once, calls the
-same table and checks each new iterate (through its step norm, which an
-inf or NaN entry makes inf or NaN) and the numbers it records for
-finiteness instead, so a run and the public steps compute the same
-numbers. `run` computes P_{U_1} x once per iterate, to measure x (for
-dr, as its shadow), and hands it to the next step, so x_k is projected
-onto U_1 once per iteration.
+need, and trusts its arrays; the circumcentered kernel returns the
+circumcenter of its reflection points, None when it is Empty. The
+public step operators validate x once (`as_vector` and the ambient
+dimension), call the table and raise DegenerateStep on None. `Problem`
+validates z once and projects it with the kernel, as the initializers
+do; `run` validates its starting point once, calls the same table, ends
+with the reason "degenerate" on None and checks each new iterate
+(through its step norm, which an inf or NaN entry makes inf or NaN) and
+the numbers it records for finiteness, so a run and the public steps
+compute the same numbers. `run` computes P_{U_1} x once per iterate, to
+measure x (for dr, as its shadow), and hands it to the next step, so
+x_k is projected onto U_1 once per iteration.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .linalg import _norm, as_vector
 
 
 class DegenerateStep(RuntimeError):
-    """A circumcentering step produced an Empty circumcenter."""
+    """cdrm_step or crm_step met reflection points with no circumcenter."""
 
 
 class InsufficientData(ValueError):
@@ -165,18 +165,15 @@ class SolverTrace:
 # measure x and _step computes for a public step.
 
 
-def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case."""
+def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray | None:
+    """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case.
+    None when it is Empty, as it is when a reflection overflowed."""
     y = 2.0 * p - x
     points = [x, y]
     for s in subspaces[1:]:
         y = _reflect(s, y)
         points.append(y)
-    # Reflections that overflowed make the circumcenter Empty too.
-    out = _circumcenter(np.array(points))
-    if out.is_empty:
-        raise DegenerateStep("circumcenter of the reflection set is empty")
-    return out.center
+    return _circumcenter(np.array(points)).center
 
 
 def _dr(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -198,7 +195,10 @@ def _step(method: Method, subspaces, x) -> np.ndarray:
     if not subspaces:
         raise ValueError("a step needs at least one set")
     x = _point_for(subspaces, x)
-    return _KERNELS[method](subspaces, x, _project(subspaces[0], x))
+    x_next = _KERNELS[method](subspaces, x, _project(subspaces[0], x))
+    if x_next is None:
+        raise DegenerateStep("circumcenter of the reflection set is empty")
+    return x_next
 
 
 def cdrm_step(U: AffineSubspace, V: AffineSubspace, x) -> np.ndarray:
@@ -232,6 +232,7 @@ def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
     return _project(from_span(problem.intersection.base, directions), problem.z)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     method: Method | str,
     problem: Problem,
@@ -244,22 +245,18 @@ def run(
     - "sol_tol": the distance to the reference solution fell to sol_tol
       (only when sol_tol is configured);
     - "step_tol": successive iterates are at most step_tol apart;
+    - "degenerate": a cdrm or crm step's reflection points have no
+      circumcenter (Empty), from rounding or an overflowed reflection;
     - "non_finite": the next iterate, its step norm, shadow, dist or
       residual has an infinite or NaN entry (an overflow); it is not
       recorded, so every recorded number is finite;
     - "max_iter": max_iter steps were taken.
 
-    A method that does not take the problem's number of sets
-    (`Method.check_sets`) and a starting point whose numbers overflow
-    raise ValueError. A circumcentered step whose reflection points have
-    no circumcenter, or overflowed to inf, raises DegenerateStep. dr
-    traces also carry the shadow sequence P_{U_1} x_k and measure
-    distances and residuals on it.
-
-    Each iterate x_k is projected onto U_1 once: that projection gives
-    its residual against U_1 (for dr, its shadow) and is handed to the
-    next step, where it yields R_1 x_k = 2 P_{U_1} x_k - x_k for cdrm
-    and crm, dr's P_U x_k and map's first projection.
+    The reason names any overflow, so numpy warns of none. A method that
+    does not take the problem's number of sets (`Method.check_sets`) and
+    a starting point whose numbers overflow raise ValueError. dr traces
+    also carry the shadow sequence P_{U_1} x_k and measure distances and
+    residuals on it; the module docstring says how each x_k is projected.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -302,6 +299,9 @@ def run(
     reason = "max_iter"
     for _ in range(cfg.max_iter):
         x_next = step(sets, x, p)
+        if x_next is None:
+            reason = "degenerate"
+            break
         # An inf or NaN entry of x_next makes its step norm inf or NaN.
         step_norm = _norm(x_next - x)
         p = record(x_next) if step_norm < math.inf else None

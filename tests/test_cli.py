@@ -2,13 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from circumlib import CircumConfig, DegenerateStep, SolverConfig, circumcenter
+from circumlib import CircumConfig, SolverConfig, circumcenter
 from circumlib.cli import CSV_COLUMNS, _solver_config, build_parser, main
 
 
@@ -16,14 +18,15 @@ def write_points(path, pts):
     path.write_text(json.dumps({"dim": len(pts[0]), "points": pts}) + "\n")
 
 
-def write_two_lines(path):
+def write_two_lines(path, z=(1.25, 2.5)):
+    """The x-axis and the diagonal of R^2, which meet at the origin."""
     doc = {
         "dim": 2,
         "subspaces": [
             {"base": [0, 0], "span": [[1, 0]]},
             {"base": [0, 0], "span": [[1, 1]]},
         ],
-        "z": [1.25, 2.5],
+        "z": list(z),
     }
     path.write_text(json.dumps(doc) + "\n")
 
@@ -318,21 +321,56 @@ def test_solve_no_intersection_exit_one(tmp_path, capsys):
     assert "share no point" in capsys.readouterr().err
 
 
-def test_solve_degeneracy_exit_two(tmp_path, capsys, monkeypatch):
-    path = gen_problem(tmp_path)
-    capsys.readouterr()
-
-    def boom(method, problem, cfg):
-        raise DegenerateStep("triple collapsed")
-
-    monkeypatch.setattr("circumlib.cli.run", boom)
-    assert main(["solve", str(path), "--method", "cdrm"]) == 2
-    assert "solver degeneracy" in capsys.readouterr().err
-    # The CSV file is opened before the run and left empty.
+def test_solve_degenerate_run_exit_zero(tmp_path, capsys):
+    # From z = (1e308, 1e308) the first reflection overflows, so the
+    # circumcenter of the reflection points is Empty: the run ends with a
+    # reason, and the CSV holds the start row.
+    path = tmp_path / "far.json"
+    write_two_lines(path, z=(1e308, 1e308))
     out_csv = tmp_path / "trace.csv"
-    assert main(["solve", str(path), "--method", "cdrm", "--csv", str(out_csv)]) == 2
-    assert "solver degeneracy" in capsys.readouterr().err
-    assert out_csv.read_bytes() == b""
+    assert main(["solve", str(path), "--method", "cdrm", "--csv", str(out_csv)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fields = summary_dict(captured.out)
+    assert fields["reason"] == "degenerate"
+    assert fields["iterations"] == "0"
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_COLUMNS
+    assert [r[:3] + r[4:] for r in rows[1:]] == [["0", "0.0", "1e+308", "cdrm"]]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_failed_request_keeps_the_csv_file(tmp_path, capsys, monkeypatch, command):
+    # The start z = (-1.7e308, 1.7e308) is 2.4e308 from the diagonal, so
+    # its residual overflows and run raises ValueError after the CSV file
+    # is opened: exit 1, the file as it was, and no numpy warning.
+    monkeypatch.chdir(tmp_path)
+    write_two_lines(tmp_path / "neg.json", z=(-1.7e308, 1.7e308))
+    (tmp_path / "keep.csv").write_text("keep\n")
+    argv = {
+        "solve": ["solve", "neg.json", "--method", "cdrm"],
+        "bench": ["bench", "neg.json", "--methods", "cdrm,dr"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--init", "z", "--csv", "keep.csv"]) == 1
+    message = "error: the starting point's shadow, distance or residual overflows\n"
+    assert capsys.readouterr() == ("", message)
+    assert (tmp_path / "keep.csv").read_bytes() == b"keep\n"
+
+
+def test_csv_replaces_a_longer_file(tmp_path, capsys):
+    path = gen_problem(tmp_path)
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("x" * 100_000 + "\n")
+    for out in (fresh, old):
+        assert main(["solve", str(path), "--method", "map", "--csv", str(out)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    # A file that cannot be truncated, such as the null device, is
+    # written as it always was.
+    assert main(["solve", str(path), "--method", "map", "--csv", os.devnull]) == 0
+    assert main(["bench", str(path), "--csv", os.devnull]) == 0
 
 
 # bench
@@ -350,6 +388,25 @@ def test_bench_all_methods_combined_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert {r[4] for r in rows[1:]} == {"cdrm", "crm", "dr", "map"}
+
+
+def test_bench_reports_every_method_past_an_overflow(tmp_path, capsys):
+    # From z = (1e308, 1e308) cdrm and crm end degenerate and dr
+    # non_finite at their start; bench goes on to the next method each
+    # time and writes every run's rows, with no numpy warning.
+    path = tmp_path / "far.json"
+    write_two_lines(path, z=(1e308, 1e308))
+    out_csv = tmp_path / "bench.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", str(path), "--csv", str(out_csv)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("(degenerate)") == 2 and "dr: 0 iterations (non_finite)" in err
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_COLUMNS
+    assert [r[4] for r in rows[1:4]] == ["cdrm", "crm", "dr"]
+    assert {r[4] for r in rows[4:]} == {"map"}
 
 
 def test_bench_subset_to_stdout(tmp_path, capsys):

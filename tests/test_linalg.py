@@ -191,10 +191,11 @@ def test_orthonormalize_skips_zero_vectors():
     assert orthonormalize([[0, 0, 0]]).shape == (0, 3)
 
 
-@pytest.mark.parametrize("lam", [1e300, 1e-300])
+@pytest.mark.parametrize("lam", [1e300, 1e-300, 1.7e308])
 def test_norm_beyond_square_range_warns_nothing(lam):
     # v . v overflows (or underflows); the norm is taken at the working
-    # scale, and forming the square raises no numpy warning either.
+    # scale, and forming the square raises no numpy warning either. At
+    # 1.7e308 the norm itself overflows, and is inf with no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _norm(np.array([lam, lam]))

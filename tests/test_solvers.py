@@ -363,15 +363,16 @@ def test_run_default_config_converges_off_origin(method, shift):
     assert trace.dists[-1] <= 1e-13 * shift
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 def test_run_overflowing_step_is_degenerate_not_converged():
     # From z = (1e300, 1e300) the reflection points are about 1e300
     # apart, so their squared distances overflow; the circumcenter is
     # solved at its working scale and the run reaches the solution, the
     # origin, instead of every point collapsing onto x (a zero step
     # reported as step_tol). From 1e308 the reflections themselves
-    # overflow, and the step is degenerate.
+    # overflow: the circumcentered step is degenerate and dr's next
+    # iterate is not finite, each a stopping reason, with no numpy
+    # warning on the way.
     prob = Problem([line2(0.0), line2(np.pi / 4)], [1e300, 1e300])
     for method in (Method.CDRM, Method.CRM):
         for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
@@ -379,10 +380,13 @@ def test_run_overflowing_step_is_degenerate_not_converged():
             assert trace.reason == "step_tol"
             assert trace.dists[-1] <= 1e-12 * 1e300
     prob = Problem([line2(0.0), line2(np.pi / 4)], [1e308, 1e308])
-    for method in (Method.CDRM, Method.CRM):
+    expected = {Method.CDRM: "degenerate", Method.CRM: "degenerate", Method.DR: "non_finite"}
+    for method, reason in expected.items():
         for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
-            with pytest.raises(DegenerateStep):
-                run(method, prob, SolverConfig(initializer=init))
+            trace = run(method, prob, SolverConfig(initializer=init))
+            assert trace.reason == reason
+            assert trace.num_steps == 0
+            assert_finite_trace(trace)
 
 
 def assert_finite_trace(trace):
@@ -396,8 +400,7 @@ def assert_finite_trace(trace):
     assert np.isfinite(numbers).all()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 def test_run_non_finite_iterate_is_named():
     # 2 P_U x - x overflows in the first dr step; the run stops there
     # with a reason instead of a ValueError, and records nothing infinite.
@@ -427,12 +430,17 @@ def test_run_non_finite_iterate_is_named():
     assert_finite_trace(trace)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize(
+    "method, bad",
+    [(m, bad) for m in Method for bad in (np.inf, np.nan)]
+    + [(Method.CDRM, None), (Method.CRM, None)],
+)
 def test_run_ends_on_an_inf_or_nan_iterate(monkeypatch, method, bad):
     # run tests a new iterate only through its step norm, which an inf or
     # NaN entry makes inf or NaN: the run ends as non_finite before the
-    # iterate is measured, and no numpy warning is raised on the way.
+    # iterate is measured, and no numpy warning is raised on the way. A
+    # circumcentered kernel returns None for an Empty circumcenter, and
+    # the run ends as degenerate.
     prob = generate_two_subspace(20, 5, 5, 0.8, seed=3)
     kernel = solvers_mod._KERNELS[method]
     calls = []
@@ -441,6 +449,8 @@ def test_run_ends_on_an_inf_or_nan_iterate(monkeypatch, method, bad):
         calls.append(None)
         x_next = kernel(sets, x, p)
         if len(calls) == 3:
+            if bad is None:
+                return None
             x_next[1] = bad
         return x_next
 
@@ -448,13 +458,12 @@ def test_run_ends_on_an_inf_or_nan_iterate(monkeypatch, method, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run(method, prob, SolverConfig())
-    assert trace.reason == "non_finite"
+    assert trace.reason == ("degenerate" if bad is None else "non_finite")
     assert trace.num_steps == 2
     assert_finite_trace(trace)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 def test_run_start_with_overflowing_shadow_raises():
     # In R^4 the shadow of z = (1e308,)*4 on the diagonal line overflows
     # before any step; there is nothing finite to record.
@@ -465,7 +474,7 @@ def test_run_start_with_overflowing_shadow_raises():
         run(Method.DR, prob, SolverConfig(initializer=Initializer.RAW_Z))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_run_large_finite_iterates_are_not_flagged():
     # Iterates near 1e200 are finite although their squared norms are
     # not; they must not end the run, and their distances stay finite.
@@ -510,6 +519,37 @@ def test_steps_are_the_circumcenter_of_the_reflections_bit_for_bit(n):
             center = circumcenter([x, y, reflect(V, y)]).center
             assert np.array_equal(cdrm_step(U, V, x), center)
             assert np.array_equal(crm_step([U, V], x), center)
+
+
+def project_onto_hull(points, w):
+    """Projection of w onto the affine hull of points, by least squares
+    on the differences to the first point (np.linalg.lstsq, an SVD that
+    drops a difference of rounding size as a rank deficiency)."""
+    x = points[0]
+    D = np.array(points[1:]) - x
+    return x + D.T @ np.linalg.lstsq(D.T, w - x, rcond=None)[0]
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("cf", [0.5, 0.8, 0.95])
+def test_steps_are_the_projection_of_the_solution_onto_the_reflections(n, cf):
+    # Reflections are isometries that fix the solution w, so w is
+    # equidistant from x, R_U x and R_V R_U x; the circumcenter of the
+    # three is the projection of w onto their affine hull. The oracle
+    # finds that projection by least squares, with none of the
+    # circumcenter kernel's arithmetic. Sets through the origin keep the
+    # rounding of the points relative to |x - w|.
+    for seed in (1, 2, 3):
+        prob = generate_two_subspace(n, n // 4, n // 4, cf, seed)
+        U, V = prob.subspaces
+        w = prob.solution
+        for method in (Method.CDRM, Method.CRM):
+            trace = run(method, prob, SolverConfig())
+            assert trace.reason == "step_tol"
+            for x, x_next in zip(trace.iterates, trace.iterates[1:]):
+                y = reflect(U, x)
+                target = project_onto_hull([x, y, reflect(V, y)], w)
+                assert np.linalg.norm(x_next - target) <= 1e-12 * np.linalg.norm(x - w)
 
 
 def test_run_accepts_string_method():
