@@ -14,13 +14,14 @@ circumcenter of its reflection points, None when it is Empty. The
 public step operators validate x once (`as_vector` and the ambient
 dimension), call the table and raise DegenerateStep on None. `Problem`
 validates z once and projects it with the kernel, as the initializers
-do; `run` validates its starting point once, calls the same table, ends
-with the reason "degenerate" on None and checks each new iterate
-(through its step norm, which an inf or NaN entry makes inf or NaN) and
-the numbers it records for finiteness, so a run and the public steps
-compute the same numbers. `run` computes P_{U_1} x once per iterate, to
-measure x (for dr, as its shadow), and hands it to the next step, so
-x_k is projected onto U_1 once per iteration.
+do; `run` calls the same table, so a run and the public steps compute
+the same numbers, and ends with the reason "degenerate" on None. It
+tests each number once for finiteness: a new iterate through its step
+norm and the point it measures (x, or dr's shadow) through its distance
+to the solution, which an inf or NaN entry makes inf or NaN. `run`
+projects each x_k onto U_1 once, to measure it, and hands P_{U_1} x_k
+to the next step. dr's shadow is that projection, so it lies on U_1 and
+is not projected again: its distance to U_1 is 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .affine import (
     intersect,
 )
 from .circumcenter import _circumcenter
-from .linalg import _norm, as_vector
+from .linalg import _norm
 
 
 class DegenerateStep(RuntimeError):
@@ -254,9 +255,10 @@ def run(
 
     The reason names any overflow, so numpy warns of none. A method that
     does not take the problem's number of sets (`Method.check_sets`) and
-    a starting point whose numbers overflow raise ValueError. dr traces
-    also carry the shadow sequence P_{U_1} x_k and measure distances and
-    residuals on it; the module docstring says how each x_k is projected.
+    a starting point whose shadow, distance or residual overflows raise
+    ValueError. dr traces also carry the shadow sequence P_{U_1} x_k and
+    measure distances and residuals on it (a shadow's distance to U_1 is
+    0); the module docstring says how each x_k is projected.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -269,18 +271,13 @@ def run(
     trace = SolverTrace(method=method, shadows=[] if shadowed else None)
 
     def record(x: np.ndarray) -> np.ndarray | None:
-        """Append x with its shadow, dist and residual and return
-        P_{U_1} x for the next step; None, appending nothing, when one
-        of them is not finite (an overflow)."""
+        """Append x with its shadow, dist and residual, measured on
+        obs (dr's shadow p, else x), and return p = P_{U_1} x for the
+        next step; None, appending nothing, when one is not finite (an
+        overflow). obs's distance to U_1 is |obs - p|, 0 for a shadow."""
         p = _project(U, x)
-        if shadowed:
-            if not np.isfinite(p).all():
-                return None
-            obs = p
-            residual = max(_distance(s, obs) for s in sets)
-        else:
-            obs = x
-            residual = max(_norm(x - p), *(_distance(s, x) for s in sets[1:]))
+        obs = p if shadowed else x
+        residual = max(_norm(obs - p), *(_distance(s, obs) for s in sets[1:]))
         dist = _norm(obs - solution)
         if not (math.isfinite(dist) and math.isfinite(residual)):
             return None
@@ -291,7 +288,7 @@ def run(
         trace.residuals.append(residual)
         return p
 
-    x = as_vector(_initial_point(problem, cfg.initializer))
+    x = _initial_point(problem, cfg.initializer)
     p = record(x)
     if p is None:
         raise ValueError("the starting point's shadow, distance or residual overflows")
