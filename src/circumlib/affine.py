@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, _norm, as_points, as_vector, orthonormalize
+from .linalg import DimensionMismatch, _norm, _scaled, as_points, as_vector, orthonormalize
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 
@@ -75,11 +75,13 @@ def from_span(base, spanning) -> AffineSubspace:
 
 
 def affine_hull(points) -> AffineSubspace:
-    """Affine hull of a nonempty point set."""
+    """Affine hull of a nonempty point set, through its first point and
+    spanned by its differences at its working scale (see linalg)."""
     P = as_points(points)
     if not len(P):
         raise ValueError("affine hull of an empty point set")
-    return from_span(P[0], P[1:] - P[0])
+    S = _scaled(P)[0]
+    return from_span(P[0], S[1:] - S[0])
 
 
 def _point_for(subspaces, x) -> np.ndarray:

@@ -6,9 +6,11 @@ circumradius is that common distance. Both are partial: a set with no
 equidistant point in its hull has outcome Empty and radius +inf. Empty
 is a value, not an error.
 
-Every tolerance here is relative to the set itself, plus the rounding
-noise of its points (see linalg), so outcomes are covariant under
-scaling and translation.
+Every routine here, the reference routes included, takes differences
+of the points at their working scale (see linalg), so a finite set
+whose differences overflow is no exception. Every tolerance is relative
+to the set itself, plus the rounding noise of its points, so outcomes
+are covariant under scaling and translation.
 
 A set of any size is solved by one Gram-Schmidt sweep over the
 differences p_i - p_1 (linalg._gram_schmidt), which drops duplicates
@@ -19,11 +21,11 @@ matrix of a = p_2 - p_1 and b = p_3 - p_1 from one product, the
 residual r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
 forward-substitution rules for those two rows in scalar arithmetic.
 It settles every triple itself, duplicates and collinear ones
-included. Both paths end in the same equidistance check against every
-point. It measures the distances on the n-vectors p_i - center and takes
-their min, max and mean on the m floats in Python, which gives the bits
-of numpy's reductions without their call cost (the mean of 8 or more
-distances still uses numpy's pairwise sum).
+included. Both paths end in verify_equidistant's check, on one measure:
+_distances gives the distances to the center as m Python floats, whose
+min, max and mean give the bits of numpy's reductions without their
+call cost (the mean of 8 or more distances still uses numpy's pairwise
+sum).
 """
 
 from __future__ import annotations
@@ -100,21 +102,22 @@ class CircumOutcome:
         return self.center is None
 
 
-def _distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Distances from x to the rows of P, at their working scale."""
+def _distances(P: np.ndarray, x: np.ndarray) -> list[float]:
+    """Distances from x to the rows of P, at their working scale, as floats."""
     R = P - x
-    return np.sqrt(np.einsum("ij,ij->i", R, R))
+    return [math.sqrt(s) for s in np.einsum("ij,ij->i", R, R).tolist()]
 
 
 def _diameter(P: np.ndarray) -> float:
     """Largest distance between two rows of P, at their working scale."""
-    return max((_distances(P[i:], p).max() for i, p in enumerate(P)), default=0.0)
+    return max((max(_distances(P[i:], p)) for i, p in enumerate(P)), default=0.0)
 
 
-def _equidistant(lo: float, hi: float, tol: float, noise: float) -> bool:
-    """Distances from lo to hi agree: the largest, hi, is finite and the
-    spread hi - lo is at most tol * hi + noise."""
-    return hi < math.inf and hi - lo <= tol * hi + noise
+def _equidistant(d: list[float], tol: float, noise: float) -> bool:
+    """The distances d agree: the largest is finite and the spread is at
+    most tol times the largest plus noise."""
+    hi = max(d)
+    return hi < math.inf and hi - min(d) <= tol * hi + noise
 
 
 def diameter(points) -> float:
@@ -137,7 +140,7 @@ def dedup(points, tol: float | None = None) -> list[np.ndarray]:
         tol = np.ldexp(tol, -e)
     kept: list[int] = []
     for i, p in enumerate(S):
-        if np.all(_distances(S[kept], p) > tol):
+        if all(d > tol for d in _distances(S[kept], p)):
             kept.append(i)
     return list(P[kept])
 
@@ -158,20 +161,18 @@ def circumcenter_gram(points) -> np.ndarray:
     if len(P) == 1:
         return P[0].copy()
     tol = math.sqrt(DEFAULT_PIVOT_TOL)
-    kept, Q, _, y, _ = _gram_schmidt(P[1:] - P[0], tol)
+    S, e, _, _ = _scaled(P)
+    kept, Q, _, y, _ = _gram_schmidt(S[1:] - S[0], tol)
     if len(kept) < len(P) - 1:
         raise NotAffinelyIndependent(
             f"only {len(kept)} of {len(P) - 1} differences independent at {tol:.1e}"
         )
-    return P[0] + y @ Q
+    return np.ldexp(S[0] + y @ Q, e)
 
 
 def verify_equidistant(p, points, tol: float) -> bool:
-    """True when max and min distances from p to the points agree.
-
-    The spread is compared against tol * (max distance) plus the
-    rounding noise of the points.
-    """
+    """True when the distances from p to the points agree: their spread is
+    at most tol times the largest plus the points' rounding noise."""
     p = as_vector(p)
     P = as_points(points)
     if not len(P):
@@ -181,9 +182,8 @@ def verify_equidistant(p, points, tol: float) -> bool:
             f"point has length {p.shape[0]}, set has length {P.shape[1]}"
         )
     S, _, sq, _ = _scaled(np.vstack([P, p]))
-    dists = _distances(S[:-1], S[-1])
     noise = _NOISE * math.sqrt(max(sq[:-1]))
-    return _equidistant(float(dists.min()), float(dists.max()), tol, noise)
+    return _equidistant(_distances(S[:-1], S[-1]), tol, noise)
 
 
 def _ill_posed(pivot: float, top: float) -> bool:
@@ -264,9 +264,8 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
         center = _sweep(P, cfg.rank_tol, noise)
     if center is None:
         return CircumOutcome.empty()
-    R = P - center
-    d = [math.sqrt(s) for s in np.einsum("ij,ij->i", R, R).tolist()]
-    if not _equidistant(min(d), max(d), cfg.verify_tol, noise):
+    d = _distances(P, center)
+    if not _equidistant(d, cfg.verify_tol, noise):
         return CircumOutcome.empty()
     # The sum numpy gave: in sequence below 8 terms, pairwise from 8.
     radius = (sum(d) if len(d) < 8 else float(np.sum(d))) / len(d)
@@ -309,32 +308,26 @@ def cross3(u, v) -> np.ndarray:
         raise NotThreeDimensional(
             f"cross product needs length-3 vectors, got {u.shape[0]} and {v.shape[0]}"
         )
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
-    )
+    return np.cross(u, v)
 
 
 def _cross3_frame(x, y, z):
-    """x, a = 2^-e (y - x), b = 2^-e (z - x), a x b, |a x b| and e (unit scale)."""
-    x, y, z = as_points([x, y, z])
-    if x.shape[0] != 3:
+    """x, a = 2^-e (y - x), b = 2^-e (z - x), a x b, |a x b| and e: the
+    differences of the points at their working scale, at unit scale."""
+    P = as_points([x, y, z])
+    if P.shape[1] != 3:
         raise NotThreeDimensional(
-            f"cross-product circumcenter needs R^3, got R^{x.shape[0]}"
+            f"cross-product circumcenter needs R^3, got R^{P.shape[1]}"
         )
-    D = np.array([y - x, z - x])
+    S, s, _, _ = _scaled(P)
+    D = S[1:] - S[0]
     e = _exponent(D)
     a, b = np.ldexp(D, -e)
     k = cross3(a, b)
     nk = float(np.linalg.norm(k))
     if nk <= DEFAULT_RANK_TOL * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
-        raise NotAffinelyIndependent(
-            "cross product of the differences is (near) zero"
-        )
-    return x, a, b, k, nk, e
+        raise NotAffinelyIndependent("cross product of the differences is (near) zero")
+    return P[0], a, b, k, nk, s + e
 
 
 def circumcenter_cross3(x, y, z) -> np.ndarray:
@@ -368,9 +361,10 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
     replaced by (||d_i||^2)_i. The center is then
     points[base_index] + sum_i coeff_i d_i. Independent of the Gram-Schmidt
     path, which makes this a cross-check route, not a fast one. Like the
-    cross-product forms, whose degree reaches five, the determinants (of
-    degree 2(m - 1)) are taken at the unit scale, of the d_i divided by
-    2^e, e the binary exponent of their largest entry.
+    cross-product forms, whose degree reaches five, it takes the d_i at
+    the points' working scale (see linalg) and the determinants (of
+    degree 2(m - 1)) at unit scale, of the d_i divided by 2^e, e the
+    binary exponent of their largest entry.
     """
     P = as_points(points)
     m = len(P)
@@ -378,14 +372,13 @@ def cramer_coefficients(points, base_index: int = 0) -> list[float]:
         raise ValueError("need at least two points")
     if not 0 <= base_index < m:
         raise ValueError(f"base_index {base_index} out of range for {m} points")
-    diffs = np.delete(P, base_index, axis=0) - P[base_index]
+    S = _scaled(P)[0]
+    diffs = np.delete(S, base_index, axis=0) - S[base_index]
     A = gram(np.ldexp(diffs, -_exponent(diffs)))
     a = np.diag(A)
     delta = float(np.linalg.det(A))
     if delta <= 1e-13 * max(float(np.prod(np.diag(A))), 1e-300):
-        raise NotAffinelyIndependent(
-            f"Gram determinant {delta:.3e} is not positive"
-        )
+        raise NotAffinelyIndependent(f"Gram determinant {delta:.3e} is not positive")
     coeffs = []
     for i in range(m - 1):
         Ai = A.copy()

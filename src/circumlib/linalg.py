@@ -29,7 +29,8 @@ vector): when the largest squared row norm of V is outside [2^-800,
 |v_ij|, and scales its lengths back by 2^e. A power of two changes no
 bit of a sum, product, quotient or square root that stays in range, so
 this gives the numbers of a wider exponent range. A zero or non-finite
-V is left as it is.
+V is left as it is. A point-set routine scales its points, then takes
+their differences, so a finite set's differences do not overflow.
 """
 
 from __future__ import annotations

@@ -87,6 +87,15 @@ def test_affine_hull_collinear():
     assert np.allclose(np.abs(V.onb[0]), [1, 0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_affine_hull_of_points_whose_difference_overflows():
+    # The difference, -2e308, is taken at the points' working scale.
+    V = affine_hull([[1e308, 0], [-1e308, 0]])
+    assert V.dim == 1
+    assert np.array_equal(np.abs(V.onb), [[1.0, 0.0]])
+    assert V.base[1] == 0.0 and distance_to(V, [0.0, 5.0]) == 5.0
+
+
 def test_subspace_rejects_skewed_basis():
     with pytest.raises(ValueError):
         AffineSubspace(base=np.zeros(2), onb=np.array([[1.0, 1.0]]))

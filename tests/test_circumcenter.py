@@ -433,6 +433,35 @@ def test_cramer_beyond_square_range(lam):
         assert cramer_coefficients(np.ldexp(pts, k), 1) == ref
 
 
+# --- differences that overflow --------------------------------------------
+# Finite sets whose differences exceed the float range. Every route takes
+# the differences at the points' working scale (see linalg), so each
+# answers as circumcenter does, with no numpy warning.
+
+NEAR_MAX = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]])
+NEAR_MAX_3D = np.array([[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0], [0.0, 1.7e308, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts", [NEAR_MAX, NEAR_MAX_3D], ids=["R2", "R3"])
+def test_gram_and_cramer_routes_take_overflowing_differences(pts):
+    out = circumcenter(pts)
+    assert np.array_equal(out.center, np.zeros(pts.shape[1]))
+    assert np.array_equal(circumcenter_gram(pts), out.center)
+    # The affine weights rebuild the center with no difference to overflow.
+    for k in range(len(pts)):
+        beta = cramer_coefficients(pts, k)
+        weights = np.insert(beta, k, 1.0 - sum(beta))
+        assert np.abs(weights @ pts - out.center).max() <= 1e-15 * out.radius
+
+
+@pytest.mark.filterwarnings("error")
+def test_cross3_routes_take_overflowing_differences():
+    out = circumcenter(NEAR_MAX_3D)
+    assert np.array_equal(circumcenter_cross3(*NEAR_MAX_3D), np.zeros(3))
+    assert circumradius_cross3(*NEAR_MAX_3D) == pytest.approx(out.radius, rel=1e-15)
+
+
 # --- three points ---------------------------------------------------------
 
 
