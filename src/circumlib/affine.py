@@ -159,17 +159,22 @@ def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
     """Intersection of two affine subspaces.
 
     A common point a + Qu^T alpha = b + Qv^T beta is found by least
-    squares in the (du + dv) coordinates and moved along the shared
-    directions to the point nearest the origin; NoIntersection is raised
-    when a membership residual exceeds DEFAULT_MEMBERSHIP_TOL times the
-    largest norm of that point and the two base points (see linalg).
-    The direction space of the result is spanned by the directions
-    whose principal-angle sine is at most DEFAULT_MEMBERSHIP_TOL.
+    squares in the (du + dv) coordinates, or is the shared base point
+    when a = b, which skips the least squares; it is moved along the
+    shared directions to the point nearest the origin. NoIntersection is
+    raised when a membership residual exceeds DEFAULT_MEMBERSHIP_TOL
+    times the largest norm of that point and the two base points (see
+    linalg). The direction space of the result is spanned by the
+    directions whose principal-angle sine is at most
+    DEFAULT_MEMBERSHIP_TOL.
     """
     W, _ = _principal(U, V)
-    A = np.vstack([U.onb, -V.onb]).T
-    coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
-    p = U.base + U.onb.T @ coef[: U.dim]
+    if np.array_equal(U.base, V.base):
+        p = U.base
+    else:
+        A = np.vstack([U.onb, -V.onb]).T
+        coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
+        p = U.base + U.onb.T @ coef[: U.dim]
     p = p - W.T @ (W @ p)
     scale = max(_norm(p), _norm(U.base), _norm(V.base))
     gap = max(_distance(U, p), _distance(V, p))

@@ -21,7 +21,8 @@ norm and the point it measures (x, or dr's shadow) through its distance
 to the solution, which an inf or NaN entry makes inf or NaN. `run`
 projects each x_k onto U_1 once, to measure it, and hands P_{U_1} x_k
 to the next step. dr's shadow is that projection, so it lies on U_1 and
-is not projected again: its distance to U_1 is 0.
+is not projected again: its distance to U_1 is 0, taken as 0 and not
+computed as the norm of a zero vector.
 """
 
 from __future__ import annotations
@@ -274,10 +275,12 @@ def run(
         """Append x with its shadow, dist and residual, measured on
         obs (dr's shadow p, else x), and return p = P_{U_1} x for the
         next step; None, appending nothing, when one is not finite (an
-        overflow). obs's distance to U_1 is |obs - p|, 0 for a shadow."""
+        overflow). obs's distance to U_1 is |x - p|, or 0 for a shadow,
+        which is not computed; a non-finite shadow has a non-finite dist."""
         p = _project(U, x)
         obs = p if shadowed else x
-        residual = max(_norm(obs - p), *(_distance(s, obs) for s in sets[1:]))
+        to_u = 0.0 if shadowed else _norm(x - p)
+        residual = max(to_u, *(_distance(s, obs) for s in sets[1:]))
         dist = _norm(obs - solution)
         if not (math.isfinite(dist) and math.isfinite(residual)):
             return None

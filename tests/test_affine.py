@@ -1,5 +1,7 @@
 """Tests for affine subspaces: projection, reflection, intersection, angles."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from circumlib import (
     project,
     reflect,
 )
+
+affine_mod = importlib.import_module("circumlib.affine")
 
 
 def random_subspace(rng, n, dim):
@@ -264,6 +268,30 @@ def test_intersect_parallel_lines():
         V = from_span([0, gap], [[1, 0]])
         with pytest.raises(NoIntersection):
             intersect(U, V)
+
+
+def test_intersect_through_a_shared_base_skips_least_squares(monkeypatch):
+    # Two subspaces through one base point meet there: intersect takes
+    # that point with no least squares, and returns what the least
+    # squares route, written out here, gives bit for bit.
+    rng = np.random.default_rng(21)
+    n, du, dv = 40, 12, 15
+    base = 1e3 * rng.normal(size=n)
+    shared = rng.normal(size=(3, n))
+    U = from_span(base, np.vstack([shared, rng.normal(size=(du - 3, n))]))
+    V = from_span(base.copy(), np.vstack([rng.normal(size=(dv - 3, n)), shared]))
+    W, _ = affine_mod._principal(U, V)
+    coef = np.linalg.lstsq(np.vstack([U.onb, -V.onb]).T, V.base - U.base, rcond=None)[0]
+    p = U.base + U.onb.T @ coef[:du]
+    p = p - W.T @ (W @ p)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("intersect ran a least squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    got = intersect(U, V)
+    assert got.dim == 3
+    assert np.array_equal(got.base, p) and np.array_equal(got.onb, W)
 
 
 def test_intersect_ambient_mismatch():

@@ -773,6 +773,29 @@ def test_run_projects_each_iterate_onto_the_first_set_once(monkeypatch, method):
         assert not any(np.array_equal(p, y) for y in seen)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_dr_run_norms_no_zero_vector(monkeypatch, shift):
+    # dr measures its shadow, which lies on U_1: its distance to U_1 is
+    # taken as 0, not as the norm of the zero vector shadow - shadow.
+    # sol_tol ends the run before a dist or step norm is exactly 0.
+    prob = generate_two_subspace(60, 15, 15, 0.8, seed=5)
+    if shift:
+        prob = shifted(prob, shift)
+    seen = []
+
+    def recorded(v, inner=solvers_mod._norm):
+        seen.append(v.copy())
+        return inner(v)
+
+    monkeypatch.setattr(solvers_mod, "_norm", recorded)
+    trace = run(Method.DR, prob, SolverConfig(sol_tol=1e-8))
+    assert trace.reason == "sol_tol"
+    assert all(v.any() for v in seen)
+    # One dist per iterate and one step norm per step.
+    assert len(seen) == len(trace.dists) + trace.num_steps
+    assert trace.residuals == [distance_to(prob.subspaces[1], p) for p in trace.shadows]
+
+
 @pytest.mark.parametrize("cf", [0.5, 0.8, 0.95])
 def test_rates_match_theory(cf):
     # map converges at cf^2 (Kayalar and Weinert 1988), dr at cf
