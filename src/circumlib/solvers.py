@@ -19,10 +19,13 @@ the same numbers, and ends with the reason "degenerate" on None. It
 tests each number once for finiteness: a new iterate through its step
 norm and the point it measures (x, or dr's shadow) through its distance
 to the solution, which an inf or NaN entry makes inf or NaN. `run`
-projects each x_k onto U_1 once, to measure it, and hands P_{U_1} x_k
-to the next step. dr's shadow is that projection, so it lies on U_1 and
-is not projected again: its distance to U_1 is 0, taken as 0 and not
-computed as the norm of a zero vector.
+projects each x_k onto U_1 once, to measure its distance to U_1, and
+hands P_{U_1} x_k to the next step. dr's shadow is that projection, so
+it lies on U_1 and is not projected again: its distance to U_1 is 0,
+taken as 0 and not computed as the norm of a zero vector. No stopping
+rule reads the distances to the other sets, so `run` takes them only
+for a point so far out that one could overflow (`Problem._near`), to
+test it: `SolverTrace.residuals` measures them when it is first read.
 """
 
 from __future__ import annotations
@@ -124,6 +127,16 @@ class Problem:
                 raise NoIntersection(f"{prefix} share no point: {exc}") from exc
         self.intersection: AffineSubspace = common
         self.solution: np.ndarray = _project(common, self.z)
+        # run's bound on a measured point's dist, below which its
+        # residual cannot overflow: |obs| <= dist + |solution| and
+        # |obs - base| <= dist + |solution| + |base| for every later set,
+        # and below 2^1020 a projection's terms keep 2^4 to spare. An
+        # overflowing norm makes it -inf, and run tests every residual.
+        self._near = (
+            2.0**1020
+            - 2.0 * _norm(self.solution)
+            - max(_norm(s.base) for s in subspaces[1:])
+        )
 
     @property
     def dim(self) -> int:
@@ -139,27 +152,57 @@ class SolverTrace:
     """Iterates plus per-iteration diagnostics.
 
     iterates[0] is the starting point; step_norms[k] = |x_{k+1} - x_k|,
-    so len(step_norms) = len(iterates) - 1. dists and residuals cover
-    every iterate, measured on the shadow sequence for dr (the raw dr
-    iterate does not approach the solution; its shadow does).
+    so len(step_norms) = len(iterates) - 1. dists, to_first and
+    residuals cover every iterate, measured on the shadow sequence for
+    dr (the raw dr iterate does not approach the solution; its shadow
+    does). to_first[k] is that point's distance to sets[0], which `run`
+    records; residuals are measured when first read (see there).
     """
 
     method: Method
     iterates: list[np.ndarray] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
     dists: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
     shadows: list[np.ndarray] | None = None
     reason: str = ""
+    sets: list[AffineSubspace] = field(default_factory=list, repr=False)
+    to_first: list[float] = field(default_factory=list)
+    _residuals: list[float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_steps(self) -> int:
         return len(self.step_norms)
 
     @property
+    def _observed(self) -> list[np.ndarray]:
+        """The measured points: the shadows for dr, else the iterates."""
+        return self.shadows if self.shadows is not None else self.iterates
+
+    @property
     def final(self) -> np.ndarray:
-        pts = self.shadows if self.shadows is not None else self.iterates
-        return pts[-1]
+        return self._observed[-1]
+
+    @property
+    def residuals(self) -> list[float]:
+        """Each measured point's largest distance to any set,
+        max(to_first[k], distance to sets[1], ...), measured on the first
+        read and kept. It is taken with run's kernels and under run's
+        errstate, so it has the bits run would have recorded, with no
+        numpy warning, and it is finite (see run)."""
+        if self._residuals is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._residuals = [
+                    _residual(self.sets, to_first, obs)
+                    for to_first, obs in zip(self.to_first, self._observed)
+                ]
+        return self._residuals
+
+
+def _residual(sets, to_first: float, obs: np.ndarray) -> float:
+    """obs's largest distance to any set, given its distance to the first."""
+    return max(to_first, *(_distance(s, obs) for s in sets[1:]))
 
 
 # Step kernels: x is a finite vector of the sets' ambient space and p is
@@ -249,17 +292,26 @@ def run(
     - "step_tol": successive iterates are at most step_tol apart;
     - "degenerate": a cdrm or crm step's reflection points have no
       circumcenter (Empty), from rounding or an overflowed reflection;
-    - "non_finite": the next iterate, its step norm, shadow, dist or
-      residual has an infinite or NaN entry (an overflow); it is not
-      recorded, so every recorded number is finite;
+    - "non_finite": the next iterate, its step norm, shadow, dist,
+      distance to U_1 or residual has an infinite or NaN entry (an
+      overflow); it is not recorded, so every recorded number is finite,
+      trace.residuals included;
     - "max_iter": max_iter steps were taken.
 
     The reason names any overflow, so numpy warns of none. A method that
     does not take the problem's number of sets (`Method.check_sets`) and
-    a starting point whose shadow, distance or residual overflows raise
-    ValueError. dr traces also carry the shadow sequence P_{U_1} x_k and
-    measure distances and residuals on it (a shadow's distance to U_1 is
-    0); the module docstring says how each x_k is projected.
+    a starting point whose shadow, dist, distance to U_1 or residual
+    overflows raise ValueError. dr traces also carry the shadow sequence
+    P_{U_1} x_k and measure distances on it (a shadow's distance to U_1
+    is 0); the module docstring says how each x_k is projected.
+
+    The residual is taken here only for a point farther from the
+    solution than `Problem._near`, about 2^1020. Nearer, it is at most
+    the point's dist, as the solution lies on every set, and no number
+    in its projections can overflow. Farther out, obs - base can
+    overflow in a projection onto a later set though the dist is finite,
+    so the residual is taken to test it. trace.residuals measures the
+    others when it is first read.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -269,26 +321,30 @@ def run(
     step = _KERNELS[method]
     shadowed = method is Method.DR
     solution = problem.solution
-    trace = SolverTrace(method=method, shadows=[] if shadowed else None)
+    near = problem._near
+    trace = SolverTrace(method=method, shadows=[] if shadowed else None, sets=sets)
 
     def record(x: np.ndarray) -> np.ndarray | None:
-        """Append x with its shadow, dist and residual, measured on
-        obs (dr's shadow p, else x), and return p = P_{U_1} x for the
+        """Append x with its shadow, dist and distance to U_1, measured
+        on obs (dr's shadow p, else x), and return p = P_{U_1} x for the
         next step; None, appending nothing, when one is not finite (an
-        overflow). obs's distance to U_1 is |x - p|, or 0 for a shadow,
-        which is not computed; a non-finite shadow has a non-finite dist."""
+        overflow). obs's distance to U_1 is |x - p|, which is not finite
+        when p is not, or 0 for a shadow, which is not computed; a
+        non-finite shadow has a non-finite dist. The residual is tested
+        only beyond near (see run's docstring)."""
         p = _project(U, x)
         obs = p if shadowed else x
-        to_u = 0.0 if shadowed else _norm(x - p)
-        residual = max(to_u, *(_distance(s, obs) for s in sets[1:]))
+        to_first = 0.0 if shadowed else _norm(x - p)
         dist = _norm(obs - solution)
-        if not (math.isfinite(dist) and math.isfinite(residual)):
+        if not (math.isfinite(dist) and math.isfinite(to_first)):
+            return None
+        if dist > near and not math.isfinite(_residual(sets, to_first, obs)):
             return None
         trace.iterates.append(x)
         if shadowed:
             trace.shadows.append(obs)
         trace.dists.append(dist)
-        trace.residuals.append(residual)
+        trace.to_first.append(to_first)
         return p
 
     x = _initial_point(problem, cfg.initializer)

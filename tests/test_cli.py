@@ -1,6 +1,7 @@
 """CLI tests: output formats, exit codes, determinism, a quiet stderr, cold start."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ import pytest
 
 from circumlib import CircumConfig, SolverConfig, circumcenter
 from circumlib.cli import CSV_COLUMNS, _solver_config, build_parser, main
+
+cli_mod = importlib.import_module("circumlib.cli")
+solvers_mod = importlib.import_module("circumlib.solvers")
 
 
 def write_points(path, pts):
@@ -430,6 +434,36 @@ def test_bench_default_methods_take_the_sets(tmp_path, capsys):
     assert {r[4] for r in rows[1:]} == {"crm", "map"}
     assert "crm:" in captured.err and "map:" in captured.err
     assert "cdrm" not in captured.err and "dr:" not in captured.err
+
+
+def test_bench_takes_each_residual_once(tmp_path, capsys, monkeypatch):
+    # Without --csv, bench writes its CSV to stdout. A run takes no
+    # distance to a set after the first and the progress line reads no
+    # residual; each trace's residual column takes one distance per
+    # measured point and later set.
+    path = gen_problem(tmp_path)
+    calls, traces = [], []
+
+    def counted(s, x, inner=solvers_mod._distance):
+        calls.append(s)
+        return inner(s, x)
+
+    def progress(problem, trace, inner=cli_mod._print_progress):
+        taken = len(calls)
+        assert taken == sum(len(t.dists) for t in traces)
+        inner(problem, trace)
+        assert len(calls) == taken
+        traces.append(trace)
+
+    monkeypatch.setattr(solvers_mod, "_distance", counted)
+    monkeypatch.setattr(cli_mod, "_print_progress", progress)
+    capsys.readouterr()
+    assert main(["bench", str(path)]) == 0
+    assert [t.method.value for t in traces] == ["cdrm", "crm", "dr", "map"]
+    assert len(calls) == sum(len(t.dists) for t in traces)
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [float(r[3]) for r in rows[1:]] == [r for t in traces for r in t.residuals]
+    assert len(calls) == len(rows) - 1
 
 
 def test_bench_unknown_method(tmp_path, capsys):

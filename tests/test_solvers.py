@@ -773,6 +773,78 @@ def test_run_projects_each_iterate_onto_the_first_set_once(monkeypatch, method):
         assert not any(np.array_equal(p, y) for y in seen)
 
 
+def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
+    # No stopping rule reads a distance to a set after the first, so a
+    # run takes none; trace.residuals takes them on its first read, one
+    # per measured point (dr's shadow, else the iterate) and later set,
+    # and keeps them.
+    calls = []
+
+    def counted(s, x, inner=solvers_mod._distance):
+        calls.append(s)
+        return inner(s, x)
+
+    monkeypatch.setattr(solvers_mod, "_distance", counted)
+    pair = generate_two_subspace(40, 10, 12, 0.8, seed=16)
+    three, _ = planted_sets(np.random.default_rng(3), 50, 3, 5, 10)
+    runs = [(m, pair) for m in Method] + [(m, three) for m in (Method.CRM, Method.MAP)]
+    for method, prob in runs:
+        trace = run(method, prob, SolverConfig(max_iter=12))
+        assert trace.num_steps >= 4 and not calls
+        residuals = trace.residuals
+        points = trace.shadows if method is Method.DR else trace.iterates
+        later = prob.subspaces[1:]
+        assert len(calls) == len(points) * len(later)
+        assert all(s is later[k % len(later)] for k, s in enumerate(calls))
+        calls.clear()
+        assert trace.residuals is residuals and not calls
+
+
+# Far out, obs - base can overflow in a projection onto a later set
+# though the point's dist is finite: along the axis set AXIS_FAR the
+# overflow makes a NaN that the residual's max passes over, along the
+# diagonal set DIAGONAL_FAR an inf. Each entry is the reason and step
+# count, or "start" for the starting point's ValueError, of cdrm, dr
+# and map, each from z and from P_U z, as run gave when it took every
+# residual in its loop; the residuals read afterwards are finite.
+AXIS_FAR = (from_span([0, 0], [[1, 1]]), from_span([1.5e308, 0], [[1, 0]]))
+DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "sets, z, expected",
+    [
+        (AXIS_FAR, (-1e308, 1e308), ["degenerate 0", "step_tol 21", "step_tol 127",
+                                     "step_tol 21", "step_tol 2", "step_tol 2"]),
+        (AXIS_FAR, (-1.5e308, 0), ["step_tol 22", "degenerate 0", "step_tol 107",
+                                   "non_finite 0", "non_finite 0", "non_finite 0"]),
+        (AXIS_FAR, (-1e308, -1e308), ["degenerate 0", "degenerate 0", "non_finite 0",
+                                      "non_finite 0", "non_finite 0", "non_finite 0"]),
+        (AXIS_FAR, (0, 1e308), ["degenerate 0", "step_tol 23", "step_tol 126",
+                                "step_tol 125", "step_tol 54", "step_tol 54"]),
+        (DIAGONAL_FAR, (-1.7e308, 0), ["start"] * 6),
+        (DIAGONAL_FAR, (0, -1.7e308), ["start", "degenerate 1", "max_iter 1000",
+                                       "max_iter 1000", "start", "step_tol 2"]),
+    ],
+    ids=["axis-0", "axis-1", "axis-2", "axis-3", "diagonal-0", "diagonal-1"],
+)
+def test_run_far_out_keeps_its_reasons_and_finite_residuals(sets, z, expected):
+    prob = Problem(sets, z)
+    got = []
+    for method in (Method.CDRM, Method.DR, Method.MAP):
+        for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
+            try:
+                trace = run(method, prob, SolverConfig(initializer=init))
+            except ValueError as exc:
+                assert "starting point" in str(exc)
+                got.append("start")
+                continue
+            assert_finite_trace(trace)
+            got.append(f"{trace.reason} {trace.num_steps}")
+    assert got == expected
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e4])
 def test_dr_run_norms_no_zero_vector(monkeypatch, shift):
     # dr measures its shadow, which lies on U_1: its distance to U_1 is
