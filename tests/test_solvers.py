@@ -885,3 +885,25 @@ def test_rates_match_theory(cf):
         assert rate[Method.MAP] == pytest.approx(cf**2, rel=0.08)
         assert rate[Method.DR] == pytest.approx(cf, rel=0.12)
         assert rate[Method.CDRM] <= 0.95 * rate[Method.MAP]
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("cf", [0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99])
+def test_rates_are_bounded_by_the_planted_angle(n, cf):
+    # A rate oracle that reads only the generator's planted Friedrichs
+    # cosine cf, not the kernels. map's rate on two subspaces is cf^2
+    # (Kayalar and Weinert 1988). cf^2 / (2 - cf^2) for cdrm is a fit to
+    # measurements, not a theorem. That cdrm beats map is the claim of
+    # Arefidamghani, Behling, Bello Cruz, Iusem and Santos, "The
+    # circumcentered-reflection method achieves better rates than
+    # alternating projections", Comput. Optim. Appl. 2021. Over these 42
+    # instances and the same ones at n = 200, default runs measured map
+    # at most 1.0e-15 above cf^2, cdrm at least 3.2e-5 below its bound
+    # and at least 0.019 below map.
+    for seed in (1, 2, 3):
+        prob = generate_two_subspace(n, n // 4, n // 4, cf, seed)
+        rate_map = estimate_rate(run(Method.MAP, prob))
+        rate_cdrm = estimate_rate(run(Method.CDRM, prob))
+        assert rate_map <= cf**2 + 1e-9
+        assert rate_cdrm <= cf**2 / (2.0 - cf**2) + 1e-9
+        assert rate_cdrm < rate_map
