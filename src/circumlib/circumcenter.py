@@ -15,10 +15,9 @@ are covariant under scaling and translation.
 A set of any size is solved by one Gram-Schmidt sweep over the
 differences p_i - p_1 (linalg._gram_schmidt), which drops duplicates
 and dependent differences and solves for the center by forward
-substitution. Three points, the step of the two-set
-circumcentered-reflection method, take a path of their own: the Gram
-matrix of a = p_2 - p_1 and b = p_3 - p_1 from one product, the
-residual r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
+substitution. Three points take a path of their own: the Gram matrix
+of a = p_2 - p_1 and b = p_3 - p_1 from one product, the residual
+r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
 forward-substitution rules for those two rows in scalar arithmetic.
 It settles every triple itself, duplicates and collinear ones
 included. Both paths end in verify_equidistant's check, on one measure:
@@ -26,6 +25,12 @@ _distances gives the distances to the center as m Python floats, whose
 min, max and mean give the bits of numpy's reductions without their
 call cost (the mean of 8 or more distances still uses numpy's pairwise
 sum).
+
+The step of the two-set circumcentered-reflection method has a kernel
+of its own, _reflection_triple: it keeps _three's rules but takes them
+on the reflection coordinates of the step, so that the points are not
+stacked, rescaled and differenced again. Its arithmetic, and so its
+last bits, differ from circumcenter's.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from .linalg import (
     DEFAULT_PIVOT_TOL,
     DEFAULT_RANK_TOL,
     DimensionMismatch,
+    _HUGE,
+    _TINY,
     _exponent,
     _gram_schmidt,
     _scaled,
@@ -272,6 +279,85 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
     if e:
         center, radius = np.ldexp(center, e), np.ldexp(radius, e)
     return CircumOutcome.exists(center, radius)
+
+
+def _reflection_triple(
+    x: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    y: np.ndarray,
+    q: np.ndarray,
+) -> np.ndarray | None:
+    """The center of x, x + 2u and x + 2u + 2v at the default
+    CircumConfig; None for Empty.
+
+    With u = P_U x - x, y = R_U x and v = P_V y - y, these are the
+    reflection points of a two-set circumcentered step, given by its
+    reflection coordinates u and v; q = P_V y. The differences are
+    a = 2u and b = 2(u + v). One product of the rows x, u and v gives
+    the Gram entries of a and b and the squared norms of the points, and
+    the center is x + alpha u + beta v, summed as (x + u) + beta r with
+    r = (1 - k) u + v, k = <u, u + v> / |u|^2, the residual of u + v
+    against u. Every rule of _three holds, on u and u + v, which halves
+    each length and threshold exactly:
+
+    - a is kept when |a| exceeds max(rank_tol max(|a|, |b|), noise),
+      and b when |2r| does, with r taken as a vector, not from the
+      cancelling form |b|^2 - k <a, b>;
+    - the same pivot test, the midpoint of x and x + 2u, or of x and
+      x + 2u + 2v, when one row is kept, and x itself when none is;
+    - verification of the rows c - x, c - x - 2u and c - x - 2u - 2v
+      at verify_tol, with the noise _NOISE times the largest point norm.
+
+    Points whose largest squared norm leaves [_TINY, _HUGE] are stacked
+    as the caller made them, x, y and 2q - y, and handed to
+    _circumcenter, which scales them or, for an inf or NaN entry, gives
+    Empty. Within the range, a Gram entry that is not finite, from an
+    overflowed projection, gives None.
+    """
+    W = np.array((x, u, v))
+    # Not np.dot(W, W.T), which BLAS takes as a slower symmetric update.
+    (xu, xv), (uu, uv), (_, vv) = np.dot(W, W[1:].T).tolist()
+    xx = float(np.dot(x, x))
+    yy = xx + 4.0 * (xu + uu)
+    zz = yy + 4.0 * (xv + 2.0 * uv + vv)
+    top = max(xx, yy, zz)
+    if not _TINY <= top <= _HUGE:
+        return _circumcenter(np.array((x, y, 2.0 * q - y))).center
+    # Python's max passes over a NaN, from an inf or NaN entry of u or v.
+    if not yy + zz < math.inf:
+        return None
+    noise = _NOISE * math.sqrt(top)
+    ab, bc = uu + uv, uv + vv
+    bb = ab + bc
+    gram_top = max(uu, bb)
+    threshold = max(CircumConfig.rank_tol * math.sqrt(gram_top), 0.5 * noise)
+    if math.sqrt(uu) > threshold:
+        k = ab / uu
+        r = (1.0 - k) * u + v
+        rr = float(np.dot(r, r))
+        if math.sqrt(rr) > threshold:
+            if _ill_posed(min(uu, rr), gram_top):
+                return None
+            beta = bc / rr
+            alpha = 1.0 + beta * (1.0 - k)
+            center = (x + u) + beta * r
+        elif _ill_posed(uu, gram_top):
+            return None
+        else:
+            alpha, beta, center = 1.0, 0.0, x + u
+    # |u + v| > threshold; bb may round below 0, where a root would raise.
+    elif bb > threshold * threshold:
+        alpha, beta, center = 1.0, 1.0, x + (u + v)
+    else:
+        alpha, beta, center = 0.0, 0.0, x.copy()
+    # The rows c - x = alpha u + beta v, c - y and c - z.
+    C = np.array(((alpha, beta), (alpha - 2.0, beta), (alpha - 2.0, beta - 2.0)))
+    E = np.dot(C, W[1:])
+    d = [math.sqrt(s) for s in np.einsum("ij,ij->i", E, E).tolist()]
+    if not _equidistant(d, CircumConfig.verify_tol, noise):
+        return None
+    return center
 
 
 def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:

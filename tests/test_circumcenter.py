@@ -547,13 +547,17 @@ def assert_three_matches_sweep(pts, sin=None):
     if ref.is_empty:
         return
     scale = max(np.linalg.norm(ref.center), ref.radius)
+    tol = three_tol(sin)
+    assert np.linalg.norm(three.center - ref.center) <= tol * scale
+    assert abs(three.radius - ref.radius) <= tol * scale
+
+
+def three_tol(sin):
     # Near the pivot tolerance the center itself has condition about
     # 1 / sin, so any two stable routes differ by a few eps / sin
     # relative: up to 4.1e-10 at sin 1.2e-6 (300 seeded triples), and
     # the sweep's own error against exact arithmetic is 5e-11 there.
-    tol = 1e-12 + (16 * np.finfo(float).eps / sin if sin else 0.0)
-    assert np.linalg.norm(three.center - ref.center) <= tol * scale
-    assert abs(three.radius - ref.radius) <= tol * scale
+    return 1e-12 + (16 * np.finfo(float).eps / sin if sin else 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -580,6 +584,63 @@ def test_three_point_path_matches_sweep(k):
             except AssertionError as exc:
                 raise AssertionError(f"{label}, shift {shift:g}") from exc
     assert overflowing == (4 if k == 150 else 0)
+
+
+def reflection_triple(pts):
+    """The solver's kernel on the triple x, y, z: u = (y - x) / 2,
+    v = (z - y) / 2, and q = y + v for the stacked fallback."""
+    x, y, z = pts
+    u, v = (y - x) / 2, (z - y) / 2
+    return cc_mod._reflection_triple(x, u, v, y, y + v)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("k", [-12, -6, 0, 6, 50, 150])
+def test_reflection_triple_matches_circumcenter(monkeypatch, k):
+    # The two-set solver kernel keeps _three's rules on the reflection
+    # coordinates u and v: the same Empty decision on every case of the
+    # three-point path, and a center within its tolerance of
+    # circumcenter's. At 1e150 the squared norms leave the kernel's
+    # range and it hands the stacked triple to _circumcenter.
+    stacked = []
+    kernel = cc_mod._circumcenter
+    monkeypatch.setattr(cc_mod, "_circumcenter", lambda P, *cfg: stacked.append(P) or kernel(P, *cfg))
+    rng = np.random.default_rng(1007 + k)
+    lam = 10.0**k
+    cases = three_point_cases(rng)
+    fallbacks = 0
+    for label, pts, sin in cases:
+        for shift in (0.0, 1e3, 1e8):
+            t = rng.normal(size=pts.shape[1])
+            t *= shift / np.linalg.norm(t)
+            moved = lam * pts + t
+            ref = circumcenter(moved)
+            del stacked[:]
+            got = reflection_triple(moved)
+            fallbacks += len(stacked)
+            assert (got is None) == ref.is_empty, f"{label}, shift {shift:g}"
+            if got is not None:
+                scale = max(np.linalg.norm(ref.center), ref.radius)
+                err = np.linalg.norm(got - ref.center)
+                assert err <= three_tol(sin) * scale, f"{label}, shift {shift:g}"
+    assert fallbacks == (3 * len(cases) if k == 150 else 0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_reflection_triple_gives_empty_for_a_non_finite_projection(bad):
+    # An overflowed projection p = P_U x or q = P_V y has an inf or NaN
+    # entry. Near the origin a NaN in a squared norm hides from Python's
+    # max, and the non-finite Gram entry gives None; an inf leaves the
+    # range, and _circumcenter gives Empty for the stacked triple.
+    rng = np.random.default_rng(23)
+    for scale in (1.0, 1e200):
+        for i in (0, 1):
+            x, *pq = scale * rng.normal(size=(3, 5))
+            pq[i][2] = bad
+            p, q = pq
+            y = 2.0 * p - x
+            assert cc_mod._reflection_triple(x, p - x, q - y, y, q) is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
