@@ -316,9 +316,9 @@ def _reflection_triple(
     overflowed projection, gives None.
     """
     W = np.array((x, u, v))
-    # Not np.dot(W, W.T), which BLAS takes as a slower symmetric update.
-    (xu, xv), (uu, uv), (_, vv) = np.dot(W, W[1:].T).tolist()
-    xx = float(np.dot(x, x))
+    # einsum, unlike np.dot, does not warn when a product overflows: such
+    # points leave the range and take the fallback, as _scaled's do.
+    (xx, xu, xv), (_, uu, uv), (_, _, vv) = np.einsum("ij,kj->ik", W, W).tolist()
     yy = xx + 4.0 * (xu + uu)
     zz = yy + 4.0 * (xv + 2.0 * uv + vv)
     top = max(xx, yy, zz)
