@@ -631,8 +631,9 @@ def test_reflection_triple_matches_circumcenter(monkeypatch, k):
 def test_reflection_triple_gives_empty_for_a_non_finite_projection(bad):
     # An overflowed projection p = P_U x or q = P_V y has an inf or NaN
     # entry. Near the origin a NaN in a squared norm hides from Python's
-    # max, and the non-finite Gram entry gives None; an inf leaves the
-    # range, and _circumcenter gives Empty for the stacked triple.
+    # max, and the non-finite Gram entry gives None; an inf, and any
+    # point at 1e200, leaves the range, and _circumcenter gives Empty
+    # for the stacked triple.
     rng = np.random.default_rng(23)
     for scale in (1.0, 1e200):
         for i in (0, 1):
