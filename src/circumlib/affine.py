@@ -19,6 +19,11 @@ private kernel that trusts its arrays: `project` calls `_project`,
 `reflect` calls `_reflect` and `distance_to` calls `_distance`. The
 solvers validate a run's inputs once and iterate on the kernels, so
 both share one arithmetic path.
+
+`_distance` and `intersect` take a difference of points that
+overflows at their working scale (see linalg), so a distance in float
+range is finite. `_project` and `_reflect`, on the solvers' hot loop,
+subtract unscaled points.
 """
 
 from __future__ import annotations
@@ -106,7 +111,17 @@ def _reflect(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
 
 
 def _distance(V: AffineSubspace, x: np.ndarray) -> float:
-    return _norm(x - _project(V, x))
+    """|x - P_V x|, silently. When x - V.base overflows, which makes
+    that inf or NaN, the same sum is taken again at the working scale of
+    x and V.base (see linalg) and scaled back, so it is inf only when the
+    distance is beyond float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _norm(x - _project(V, x))
+        if dist < math.inf:
+            return dist
+        (x, base), e, *_ = _scaled(np.vstack([x, V.base]))
+        p = base + V.onb.T @ (V.onb @ (x - base))
+        return float(np.ldexp(_norm(x - p), e))
 
 
 def project(V: AffineSubspace, x) -> np.ndarray:
@@ -120,7 +135,8 @@ def reflect(V: AffineSubspace, x) -> np.ndarray:
 
 
 def distance_to(V: AffineSubspace, x) -> float:
-    """Euclidean distance from x to V."""
+    """Euclidean distance from x to V, with no numpy warning; inf only
+    when it is beyond float range (see the module docstring)."""
     return _distance(V, _point_for((V,), x))
 
 
@@ -159,8 +175,9 @@ def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
     """Intersection of two affine subspaces.
 
     A common point a + Qu^T alpha = b + Qv^T beta is found by least
-    squares in the (du + dv) coordinates, or is the shared base point
-    when a = b, which skips the least squares; it is moved along the
+    squares in the (du + dv) coordinates, on b - a taken at the working
+    scale of a and b (see linalg), or is the shared base point when
+    a = b, which skips the least squares; it is moved along the
     shared directions to the point nearest the origin. NoIntersection is
     raised when a membership residual exceeds DEFAULT_MEMBERSHIP_TOL
     times the largest norm of that point and the two base points (see
@@ -173,8 +190,9 @@ def intersect(U: AffineSubspace, V: AffineSubspace) -> AffineSubspace:
         p = U.base
     else:
         A = np.vstack([U.onb, -V.onb]).T
-        coef, *_ = np.linalg.lstsq(A, V.base - U.base, rcond=None)
-        p = U.base + U.onb.T @ coef[: U.dim]
+        B, e, *_ = _scaled(np.vstack([U.base, V.base]))
+        coef, *_ = np.linalg.lstsq(A, B[1] - B[0], rcond=None)
+        p = U.base + U.onb.T @ np.ldexp(coef[: U.dim], e)
     p = p - W.T @ (W @ p)
     scale = max(_norm(p), _norm(U.base), _norm(V.base))
     gap = max(_distance(U, p), _distance(V, p))

@@ -27,8 +27,7 @@ measure its distance to U_1, and hands P_{U_1} x_k to the next step.
 dr's shadow is that projection, so it lies on U_1 and is not projected
 again: its distance to U_1 is 0, taken as 0 and not computed as the
 norm of a zero vector. No stopping rule reads the distances to the
-other sets, so `run` takes them only for a point so far out that one
-could overflow (`Problem._near`), to test it: `SolverTrace.residuals`
+other sets, so `run` does not take them: `SolverTrace.residuals`
 measures them when it is first read.
 """
 
@@ -131,16 +130,6 @@ class Problem:
                 raise NoIntersection(f"{prefix} share no point: {exc}") from exc
         self.intersection: AffineSubspace = common
         self.solution: np.ndarray = _project(common, self.z)
-        # run's bound on a measured point's dist, below which its
-        # residual cannot overflow: |obs| <= dist + |solution| and
-        # |obs - base| <= dist + |solution| + |base| for every later set,
-        # and below 2^1020 a projection's terms keep 2^4 to spare. An
-        # overflowing norm makes it -inf, and run tests every residual.
-        self._near = (
-            2.0**1020
-            - 2.0 * _norm(self.solution)
-            - max(_norm(s.base) for s in subspaces[1:])
-        )
 
     @property
     def dim(self) -> int:
@@ -192,21 +181,15 @@ class SolverTrace:
     def residuals(self) -> list[float]:
         """Each measured point's largest distance to any set,
         max(to_first[k], distance to sets[1], ...), measured on the first
-        read and kept. It is taken with run's kernels and under run's
-        errstate, so it has the bits run would have recorded, with no
-        numpy warning, and it is finite (see run)."""
+        read and kept. `affine._distance` takes each distance at working
+        scale where it would overflow, silently, so a residual, which is
+        at most the point's dist, is finite with it."""
         if self._residuals is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._residuals = [
-                    _residual(self.sets, to_first, obs)
-                    for to_first, obs in zip(self.to_first, self._observed)
-                ]
+            self._residuals = [
+                max(to_first, *(_distance(s, obs) for s in self.sets[1:]))
+                for to_first, obs in zip(self.to_first, self._observed)
+            ]
         return self._residuals
-
-
-def _residual(sets, to_first: float, obs: np.ndarray) -> float:
-    """obs's largest distance to any set, given its distance to the first."""
-    return max(to_first, *(_distance(s, obs) for s in sets[1:]))
 
 
 # Step kernels: x is a finite vector of the sets' ambient space and p is
@@ -302,26 +285,18 @@ def run(
     - "step_tol": successive iterates are at most step_tol apart;
     - "degenerate": a cdrm or crm step's reflection points have no
       circumcenter (Empty), from rounding or an overflowed reflection;
-    - "non_finite": the next iterate, its step norm, shadow, dist,
-      distance to U_1 or residual has an infinite or NaN entry (an
-      overflow); it is not recorded, so every recorded number is finite,
-      trace.residuals included;
+    - "non_finite": the next iterate, its step norm, shadow, dist or
+      distance to U_1 has an infinite or NaN entry (an overflow); it is
+      not recorded, so every recorded number is finite, trace.residuals
+      included (see there);
     - "max_iter": max_iter steps were taken.
 
     The reason names any overflow, so numpy warns of none. A method that
     does not take the problem's number of sets (`Method.check_sets`) and
-    a starting point whose shadow, dist, distance to U_1 or residual
-    overflows raise ValueError. dr traces also carry the shadow sequence
+    a starting point whose shadow, dist or distance to U_1 overflows
+    raise ValueError. dr traces also carry the shadow sequence
     P_{U_1} x_k and measure distances on it (a shadow's distance to U_1
     is 0); the module docstring says how each x_k is projected.
-
-    The residual is taken here only for a point farther from the
-    solution than `Problem._near`, about 2^1020. Nearer, it is at most
-    the point's dist, as the solution lies on every set, and no number
-    in its projections can overflow. Farther out, obs - base can
-    overflow in a projection onto a later set though the dist is finite,
-    so the residual is taken to test it. trace.residuals measures the
-    others when it is first read.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -331,7 +306,6 @@ def run(
     step = _KERNELS[method]
     shadowed = method is Method.DR
     solution = problem.solution
-    near = problem._near
     trace = SolverTrace(method=method, shadows=[] if shadowed else None, sets=sets)
 
     def record(x: np.ndarray) -> np.ndarray | None:
@@ -340,15 +314,13 @@ def run(
         next step; None, appending nothing, when one is not finite (an
         overflow). obs's distance to U_1 is |x - p|, which is not finite
         when p is not, or 0 for a shadow, which is not computed; a
-        non-finite shadow has a non-finite dist. The residual is tested
-        only beyond near (see run's docstring)."""
+        non-finite shadow has a non-finite dist. The residual is not
+        taken (see SolverTrace.residuals)."""
         p = _project(U, x)
         obs = p if shadowed else x
         to_first = 0.0 if shadowed else _norm(x - p)
         dist = _norm(obs - solution)
         if not (math.isfinite(dist) and math.isfinite(to_first)):
-            return None
-        if dist > near and not math.isfinite(_residual(sets, to_first, obs)):
             return None
         trace.iterates.append(x)
         if shadowed:
@@ -360,7 +332,7 @@ def run(
     x = _initial_point(problem, cfg.initializer)
     p = record(x)
     if p is None:
-        raise ValueError("the starting point's shadow, distance or residual overflows")
+        raise ValueError("the starting point's shadow or distance overflows")
 
     reason = "max_iter"
     for _ in range(cfg.max_iter):

@@ -151,13 +151,23 @@ def test_maps_validate_their_point():
             fn(V, [[1.0, 2.0]])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_distance_to_does_not_overflow():
     V = from_span([0, 0], [[1, 0]])
     assert distance_to(V, [5.0, 2.0]) == 2.0
     # the squared distance, 9e400, is not a float; the distance is
     assert distance_to(V, [1e200, 3e200]) == 3e200
     assert distance_to(V, [1e308, -1e308]) == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_to_takes_an_overflowing_difference_at_working_scale():
+    # x - base overflows, though the distance is finite: it is taken
+    # again at the working scale of x and base, with no numpy warning.
+    V = from_span([1.5e308, 0], [[1, 0]])
+    assert distance_to(V, [-1e308, 1]) == 1.0
+    # The true distance, 2e308, is beyond float range.
+    V = from_span([1e308, 0], [[0, 1]])
+    assert distance_to(V, [-1e308, 0]) == np.inf
 
 
 def test_distance_to_does_not_underflow():
@@ -292,6 +302,20 @@ def test_intersect_through_a_shared_base_skips_least_squares(monkeypatch):
     got = intersect(U, V)
     assert got.dim == 3
     assert np.array_equal(got.base, p) and np.array_equal(got.onb, W)
+
+
+@pytest.mark.filterwarnings("error")
+def test_intersect_takes_base_points_at_working_scale():
+    # The base points are 2e308 apart, beyond float range, and the lines
+    # meet at (1e308, 0): the least squares takes their difference at
+    # working scale, and so does the membership check.
+    U = from_span([1e308, 0], [[0, 1]])
+    V = from_span([-1e308, 0], [[1, 0]])
+    W = intersect(U, V)
+    assert W.dim == 0
+    assert np.array_equal(W.base, [1e308, 0])
+    prob = Problem([U, V], [0, 5])
+    assert np.array_equal(prob.solution, [1e308, 0])
 
 
 def test_intersect_ambient_mismatch():

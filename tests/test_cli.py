@@ -346,9 +346,10 @@ def test_solve_degenerate_run_exit_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_failed_request_keeps_the_csv_file(tmp_path, capsys, monkeypatch, command):
-    # The start z = (-1.7e308, 1.7e308) is 2.4e308 from the diagonal, so
-    # its residual overflows and run raises ValueError after the CSV file
-    # is opened: exit 1, the file as it was, and no numpy warning.
+    # The start z = (-1.7e308, 1.7e308) is 2.4e308 from the solution at
+    # the origin, so its dist overflows and run raises ValueError after
+    # the CSV file is opened: exit 1, the file as it was, and no numpy
+    # warning.
     monkeypatch.chdir(tmp_path)
     write_two_lines(tmp_path / "neg.json", z=(-1.7e308, 1.7e308))
     (tmp_path / "keep.csv").write_text("keep\n")
@@ -359,7 +360,7 @@ def test_failed_request_keeps_the_csv_file(tmp_path, capsys, monkeypatch, comman
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*argv, "--init", "z", "--csv", "keep.csv"]) == 1
-    message = "error: the starting point's shadow, distance or residual overflows\n"
+    message = "error: the starting point's shadow or distance overflows\n"
     assert capsys.readouterr() == ("", message)
     assert (tmp_path / "keep.csv").read_bytes() == b"keep\n"
 

@@ -812,12 +812,11 @@ def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
 
 
 # Far out, obs - base can overflow in a projection onto a later set
-# though the point's dist is finite: along the axis set AXIS_FAR the
-# overflow makes a NaN that the residual's max passes over, along the
-# diagonal set DIAGONAL_FAR an inf. Each entry is the reason and step
-# count, or "start" for the starting point's ValueError, of cdrm, dr
-# and map, each from z and from P_U z, as run gave when it took every
-# residual in its loop; the residuals read afterwards are finite.
+# though the point's dist is finite, along the axis set AXIS_FAR and the
+# diagonal set DIAGONAL_FAR. That distance is then taken at working
+# scale, so every residual is finite and run does not test them. Each
+# entry is the reason and step count, or "start" for the starting
+# point's ValueError, of cdrm, dr and map, each from z and from P_U z.
 AXIS_FAR = (from_span([0, 0], [[1, 1]]), from_span([1.5e308, 0], [[1, 0]]))
 DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]]))
 
@@ -834,9 +833,10 @@ DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]])
                                       "non_finite 0", "non_finite 0", "non_finite 0"]),
         (AXIS_FAR, (0, 1e308), ["degenerate 0", "step_tol 23", "step_tol 126",
                                 "step_tol 125", "step_tol 54", "step_tol 54"]),
-        (DIAGONAL_FAR, (-1.7e308, 0), ["start"] * 6),
-        (DIAGONAL_FAR, (0, -1.7e308), ["start", "degenerate 1", "max_iter 1000",
-                                       "max_iter 1000", "start", "step_tol 2"]),
+        (DIAGONAL_FAR, (-1.7e308, 0), ["degenerate 0", "degenerate 0", "non_finite 0",
+                                       "non_finite 0", "non_finite 0", "non_finite 0"]),
+        (DIAGONAL_FAR, (0, -1.7e308), ["degenerate 2", "degenerate 1", "max_iter 1000",
+                                       "max_iter 1000", "step_tol 2", "step_tol 2"]),
     ],
     ids=["axis-0", "axis-1", "axis-2", "axis-3", "diagonal-0", "diagonal-1"],
 )
@@ -854,6 +854,16 @@ def test_run_far_out_keeps_its_reasons_and_finite_residuals(sets, z, expected):
             assert_finite_trace(trace)
             got.append(f"{trace.reason} {trace.num_steps}")
     assert got == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_far_out_is_not_a_nan():
+    # dr's first shadow, (-7.5e307, -7.5e307), lies 7.5e307 from AXIS_FAR's
+    # second set, whose base it cannot be subtracted from in float range:
+    # the residual is that distance, not a NaN that max passes over.
+    prob = Problem(AXIS_FAR, (-1.5e308, 0))
+    trace = run(Method.DR, prob, SolverConfig(initializer=Initializer.RAW_Z))
+    assert trace.residuals[0] == pytest.approx(7.5e307, rel=1e-12)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e4])
