@@ -20,9 +20,10 @@ private kernel that trusts its arrays: `project` calls `_project`,
 solvers validate a run's inputs once and iterate on the kernels, so
 both share one arithmetic path.
 
-`_distance` and `intersect` take a difference of points that
-overflows at their working scale (see linalg), so a distance in float
-range is finite. `_project` and `_reflect`, on the solvers' hot loop,
+`project`, `reflect`, `distance_to` and `intersect` take a difference
+of points that overflows at their working scale (see linalg), so a
+projection, reflection or distance in float range is finite, with no
+numpy warning. `_project` and `_reflect`, on the solvers' hot loop,
 subtract unscaled points.
 """
 
@@ -110,28 +111,42 @@ def _reflect(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     return 2.0 * _project(V, x) - x
 
 
+def _rescaled(V: AffineSubspace, x: np.ndarray):
+    """V and x at the working scale of x and V.base (see linalg), and its exponent."""
+    (x, base), e, *_ = _scaled(np.vstack([x, V.base]))
+    return AffineSubspace(base, V.onb), x, e
+
+
+def _silently(kernel, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    """kernel(V, x), silently. When an entry is not finite, as when
+    x - V.base overflows, it is taken again at working scale and scaled
+    back, so an entry is inf only when it is beyond float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(V, x)
+        if np.isfinite(out).all():
+            return out
+        V, x, e = _rescaled(V, x)
+        return np.ldexp(kernel(V, x), e)
+
+
 def _distance(V: AffineSubspace, x: np.ndarray) -> float:
-    """|x - P_V x|, silently. When x - V.base overflows, which makes
-    that inf or NaN, the same sum is taken again at the working scale of
-    x and V.base (see linalg) and scaled back, so it is inf only when the
-    distance is beyond float range."""
+    """|x - P_V x| as _silently takes it, with a test on one float."""
     with np.errstate(over="ignore", invalid="ignore"):
         dist = _norm(x - _project(V, x))
         if dist < math.inf:
             return dist
-        (x, base), e, *_ = _scaled(np.vstack([x, V.base]))
-        p = base + V.onb.T @ (V.onb @ (x - base))
-        return float(np.ldexp(_norm(x - p), e))
+        V, x, e = _rescaled(V, x)
+        return float(np.ldexp(_norm(x - _project(V, x)), e))
 
 
 def project(V: AffineSubspace, x) -> np.ndarray:
-    """Orthogonal projection of x onto V."""
-    return _project(V, _point_for((V,), x))
+    """Orthogonal projection of x onto V, silently (see the module docstring)."""
+    return _silently(_project, V, _point_for((V,), x))
 
 
 def reflect(V: AffineSubspace, x) -> np.ndarray:
-    """Reflection of x across V: 2 P_V(x) - x."""
-    return _reflect(V, _point_for((V,), x))
+    """Reflection of x across V, 2 P_V(x) - x, silently (see project)."""
+    return _silently(_reflect, V, _point_for((V,), x))
 
 
 def distance_to(V: AffineSubspace, x) -> float:

@@ -28,8 +28,8 @@ sum).
 
 The step of the two-set circumcentered-reflection method has a kernel
 of its own, _reflection_triple: it keeps _three's rules but takes them
-on the reflection coordinates of the step, so that the points are not
-stacked, rescaled and differenced again. Its arithmetic, and so its
+on the step's reflection coordinates, at their own working scale, with
+no points stacked and differenced again. Its arithmetic, and so its
 last bits, differ from circumcenter's.
 """
 
@@ -281,52 +281,44 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
     return CircumOutcome.exists(center, radius)
 
 
-def _reflection_triple(
-    x: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    y: np.ndarray,
-    q: np.ndarray,
-) -> np.ndarray | None:
+def _reflection_triple(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     """The center of x, x + 2u and x + 2u + 2v at the default
     CircumConfig; None for Empty.
 
     With u = P_U x - x, y = R_U x and v = P_V y - y, these are the
-    reflection points of a two-set circumcentered step, given by its
-    reflection coordinates u and v; q = P_V y. The differences are
+    reflection points of a two-set circumcentered step, with differences
     a = 2u and b = 2(u + v). One product of the rows x, u and v gives
     the Gram entries of a and b and the squared norms of the points, and
     the center is x + alpha u + beta v, summed as (x + u) + beta r with
     r = (1 - k) u + v, k = <u, u + v> / |u|^2, the residual of u + v
     against u. Every rule of _three holds, on u and u + v, which halves
-    each length and threshold exactly:
+    each length and threshold exactly: the keep thresholds, on |u| and
+    on r taken as a vector, not from the cancelling form
+    |b|^2 - k <a, b>; the pivot test; the midpoint and x branches; and
+    verification of c - x, c - x - 2u and c - x - 2u - 2v at verify_tol,
+    with the noise _NOISE times the largest point norm.
 
-    - a is kept when |a| exceeds max(rank_tol max(|a|, |b|), noise),
-      and b when |2r| does, with r taken as a vector, not from the
-      cancelling form |b|^2 - k <a, b>;
-    - the same pivot test, the midpoint of x and x + 2u, or of x and
-      x + 2u + 2v, when one row is kept, and x itself when none is;
-    - verification of the rows c - x, c - x - 2u and c - x - 2u - 2v
-      at verify_tol, with the noise _NOISE times the largest point norm.
-
-    Points whose largest squared norm leaves [_TINY, _HUGE] are stacked
-    as the caller made them, x, y and 2q - y, and handed to
-    _circumcenter, which scales them or, for an inf or NaN entry, gives
-    Empty. Within the range, a Gram entry that is not finite, from an
+    Rows whose largest squared point norm leaves [_TINY, _HUGE], or
+    whose products overflow to a NaN, are taken at their working scale
+    (see linalg) and the center is scaled back, so the step is covariant
+    under scaling by a power of two. An inf or NaN entry, from an
     overflowed projection, gives None.
     """
     W = np.array((x, u, v))
-    # einsum, unlike np.dot, does not warn when a product overflows: such
-    # points leave the range and take the fallback, as _scaled's do.
+    # einsum, unlike np.dot, does not warn when a product overflows.
     (xx, xu, xv), (_, uu, uv), (_, _, vv) = np.einsum("ij,kj->ik", W, W).tolist()
     yy = xx + 4.0 * (xu + uu)
     zz = yy + 4.0 * (xv + 2.0 * uv + vv)
     top = max(xx, yy, zz)
-    if not _TINY <= top <= _HUGE:
-        return _circumcenter(np.array((x, y, 2.0 * q - y))).center
-    # Python's max passes over a NaN, from an inf or NaN entry of u or v.
-    if not yy + zz < math.inf:
-        return None
+    # Python's max passes over a NaN, which yy + zz does not.
+    if not (_TINY <= top <= _HUGE and yy + zz < math.inf):
+        # 0 for a zero or non-finite W; else the scaled rows are in range.
+        e = _exponent(W)
+        if e:
+            center = _reflection_triple(*np.ldexp(W, -e))
+            return None if center is None else np.ldexp(center, e)
+        if not yy + zz < math.inf:
+            return None
     noise = _NOISE * math.sqrt(top)
     ab, bc = uu + uv, uv + vv
     bb = ab + bc

@@ -12,23 +12,18 @@ and x's projection P_{U_1} x onto the first set, which all four methods
 need, and trusts its arrays; the circumcentered kernel returns the
 circumcenter of its reflection points, None when it is Empty. On two
 sets it works in reflection coordinates, u = P_{U_1} x - x and
-v = P_{U_2} y - y with y = R_{U_1} x (circumcenter._reflection_triple),
-so cdrm and two-set crm share its bits; on more sets it stacks the
-points for circumcenter's kernel. The public step operators validate x
-once (`as_vector` and the ambient dimension), call the table and raise
-DegenerateStep on None. `Problem` validates z once and projects it with
-the kernel, as the initializers do; `run` calls the same table, so a
-run and the public steps compute the same numbers, and ends with the
-reason "degenerate" on None. It tests each number once for finiteness:
-a new iterate through its step norm and the point it measures (x, or
-dr's shadow) through its distance to the solution, which an inf or NaN
-entry makes inf or NaN. `run` projects each x_k onto U_1 once, to
-measure its distance to U_1, and hands P_{U_1} x_k to the next step.
-dr's shadow is that projection, so it lies on U_1 and is not projected
-again: its distance to U_1 is 0, taken as 0 and not computed as the
-norm of a zero vector. No stopping rule reads the distances to the
-other sets, so `run` does not take them: `SolverTrace.residuals`
-measures them when it is first read.
+v = P_{U_2} y - y with y = R_{U_1} x, at their working scale
+(circumcenter._reflection_triple), so cdrm and two-set crm share its
+bits and a run scaled by a power of two is that run, scaled, bit for
+bit; on more sets it stacks the points for circumcenter's kernel. The
+public step operators validate x once (`as_vector` and the ambient
+dimension), call the table and raise DegenerateStep on None. `Problem`
+validates z once and projects it with the kernel, as the initializers
+do; `run` calls the same table, so a run and the public steps compute
+the same numbers, and ends with the reason "degenerate" on None.
+`run` projects each x_k onto U_1 once and hands P_{U_1} x_k to the
+next step; it takes no distance to the other sets, which
+`SolverTrace.residuals` measures when it is first read.
 """
 
 from __future__ import annotations
@@ -198,15 +193,12 @@ class SolverTrace:
 
 
 def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray | None:
-    """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case.
-    None when it is Empty, as it is when a reflection overflowed. Two
-    sets take _reflection_triple, on the reflection coordinates p - x and
-    q - y, y = R_1 x and q = P_2 y; more sets take _circumcenter of the
-    stacked points."""
+    """Circumcenter of x, R_1 x, R_2 R_1 x, ...; cdrm is its two-set case,
+    on p - x and P_2 y - y, y = R_1 x (_reflection_triple). None when it
+    is Empty, as it is when a reflection overflowed."""
     y = 2.0 * p - x
     if len(subspaces) == 2:
-        q = _project(subspaces[1], y)
-        return _reflection_triple(x, p - x, q - y, y, q)
+        return _reflection_triple(x, p - x, _project(subspaces[1], y) - y)
     points = [x, y]
     for s in subspaces[1:]:
         y = _reflect(s, y)

@@ -170,6 +170,18 @@ def test_distance_to_takes_an_overflowing_difference_at_working_scale():
     assert distance_to(V, [-1e308, 0]) == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_project_and_reflect_take_an_overflowing_difference_at_working_scale():
+    # x - base overflows: the projection (1e308, 0) is in float range
+    # and is taken again at working scale, with no numpy warning; the
+    # reflection's first entry, 3e308, is beyond it and reads inf.
+    V = from_span([1e308, 0], [[0, 1]])
+    assert np.array_equal(project(V, [-1e308, 0]), [1e308, 0])
+    assert np.array_equal(reflect(V, [-1e308, 0]), [np.inf, 0])
+    # 2 P_V x overflows, 2 P_V x - x does not.
+    assert np.array_equal(reflect(V, [1.5e308, 0]), [0.5e308, 0])
+
+
 def test_distance_to_does_not_underflow():
     # the squared distance, 9e-340, is below the smallest float
     V = from_span([0, 0], [[1, 0]])

@@ -587,11 +587,10 @@ def test_three_point_path_matches_sweep(k):
 
 
 def reflection_triple(pts):
-    """The solver's kernel on the triple x, y, z: u = (y - x) / 2,
-    v = (z - y) / 2, and q = y + v for the stacked fallback."""
+    """The solver's kernel on the triple x, y, z: u = (y - x) / 2 and
+    v = (z - y) / 2."""
     x, y, z = pts
-    u, v = (y - x) / 2, (z - y) / 2
-    return cc_mod._reflection_triple(x, u, v, y, y + v)
+    return cc_mod._reflection_triple(x, (y - x) / 2, (z - y) / 2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -601,39 +600,42 @@ def test_reflection_triple_matches_circumcenter(monkeypatch, k):
     # coordinates u and v: the same Empty decision on every case of the
     # three-point path, and a center within its tolerance of
     # circumcenter's. At 1e150 the squared norms leave the kernel's
-    # range and it hands the stacked triple to _circumcenter.
-    stacked = []
-    kernel = cc_mod._circumcenter
-    monkeypatch.setattr(cc_mod, "_circumcenter", lambda P, *cfg: stacked.append(P) or kernel(P, *cfg))
+    # range and it takes its rows at their working scale itself.
+    exponents = []
+
+    def counted(W, inner=cc_mod._exponent):
+        exponents.append(inner(W))
+        return exponents[-1]
+
+    monkeypatch.setattr(cc_mod, "_exponent", counted)
     rng = np.random.default_rng(1007 + k)
     lam = 10.0**k
     cases = three_point_cases(rng)
-    fallbacks = 0
+    rescaled = 0
     for label, pts, sin in cases:
         for shift in (0.0, 1e3, 1e8):
             t = rng.normal(size=pts.shape[1])
             t *= shift / np.linalg.norm(t)
             moved = lam * pts + t
             ref = circumcenter(moved)
-            del stacked[:]
+            exponents.clear()
             got = reflection_triple(moved)
-            fallbacks += len(stacked)
+            rescaled += sum(e != 0 for e in exponents)
             assert (got is None) == ref.is_empty, f"{label}, shift {shift:g}"
             if got is not None:
                 scale = max(np.linalg.norm(ref.center), ref.radius)
                 err = np.linalg.norm(got - ref.center)
                 assert err <= three_tol(sin) * scale, f"{label}, shift {shift:g}"
-    assert fallbacks == (3 * len(cases) if k == 150 else 0)
+    assert rescaled == (3 * len(cases) if k == 150 else 0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_reflection_triple_gives_empty_for_a_non_finite_projection(bad):
     # An overflowed projection p = P_U x or q = P_V y has an inf or NaN
-    # entry. Near the origin a NaN in a squared norm hides from Python's
-    # max, and the non-finite Gram entry gives None; an inf, and any
-    # point at 1e200, leaves the range, and _circumcenter gives Empty
-    # for the stacked triple.
+    # entry, and so has u = p - x or v = q - y. The kernel gives None
+    # itself, near the origin and at 1e200 alike: such rows have no
+    # working scale, and a NaN in a squared norm, which hides from
+    # Python's max, is caught on the Gram entries.
     rng = np.random.default_rng(23)
     for scale in (1.0, 1e200):
         for i in (0, 1):
@@ -641,7 +643,59 @@ def test_reflection_triple_gives_empty_for_a_non_finite_projection(bad):
             pq[i][2] = bad
             p, q = pq
             y = 2.0 * p - x
-            assert cc_mod._reflection_triple(x, p - x, q - y, y, q) is None
+            assert cc_mod._reflection_triple(x, p - x, q - y) is None
+
+
+def reflection_rows(rng, n):
+    """Rows (x, u, v) for the solver's kernel: a random triple, the
+    near-collinear v = -u + eps w (eps 1e-3, 1e-7 and 0, where the third
+    point is x again), the collinear v = u / 2, and the random triple
+    moved 1e8 from the origin."""
+    x, u, v = rng.normal(size=(3, n))
+    t = rng.normal(size=n)
+    t *= 1e8 / np.linalg.norm(t)
+    rows = [(x, u, v), (x, u, 0.5 * u), (x + t, u, v)]
+    rows += [(x, u, -u + eps * v) for eps in (1e-3, 1e-7, 0.0)]
+    return [np.array(W) for W in rows]
+
+
+@pytest.mark.parametrize("k", [-1000, -900, -500, 450, 500, 900, 1000])
+def test_reflection_triple_is_covariant_under_power_of_two_scaling(k):
+    # Every scaled triple leaves the kernel's range and is taken at its
+    # working scale, the unscaled one is not: the center at 2^k is 2^k
+    # times the center at 1, bit for bit, and Empty at one is Empty at
+    # the other. Only triples whose scaled entries stay normal are taken.
+    rng = np.random.default_rng(29)
+    smallest = np.finfo(float).tiny
+    taken = empty = 0
+    for n in (2, 7):
+        for _ in range(20):
+            for W in reflection_rows(rng, n):
+                with np.errstate(over="ignore"):
+                    S = np.ldexp(W, k)
+                entries = np.abs(S[W != 0])
+                if not np.all((entries >= smallest) & (entries < np.inf)):
+                    continue
+                ref = cc_mod._reflection_triple(*W)
+                got = cc_mod._reflection_triple(*S)
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert np.array_equal(got, np.ldexp(ref, k))
+                taken += 1
+                empty += ref is None
+    assert taken >= 200 and 0 < empty < taken
+
+
+@pytest.mark.filterwarnings("error")
+def test_reflection_triple_rescales_rows_whose_products_overflow():
+    # |x|^2 = 2^800 is in range, but x.u overflows to -inf and u.u to
+    # inf, so |x + 2u|^2 reads NaN, which Python's max passes over: the
+    # rows are still taken at their working scale, and the center is
+    # circumcenter's.
+    x, u, v = np.array([[-(2.0**400), 1.0], [2.0**700, 0.0], [0.0, 2.0**699]])
+    got = cc_mod._reflection_triple(x, u, v)
+    ref = circumcenter([x, x + 2 * u, x + 2 * u + 2 * v])
+    np.testing.assert_allclose(got, ref.center, rtol=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -389,7 +389,7 @@ def test_run_overflowing_step_is_degenerate_not_converged():
             assert trace.dists[-1] <= 1e-12 * 1e300
     # The public two-set step, outside run's errstate, warns of nothing
     # either: the points' squared norms overflow in the kernel's Gram
-    # product, and it hands them to the scaled kernel.
+    # product, and it takes its rows at their working scale.
     step = cdrm_step(*prob.subspaces, prob.z)
     assert np.array_equal(crm_step(prob.subspaces, prob.z), step)
     assert np.abs(step).max() <= 1e-12 * 1e300
@@ -401,6 +401,26 @@ def test_run_overflowing_step_is_degenerate_not_converged():
             assert trace.reason == reason
             assert trace.num_steps == 0
             assert_finite_trace(trace)
+
+
+@pytest.mark.parametrize("cf", [0.5, 0.9])
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_run_is_covariant_under_power_of_two_scaling(k, cf):
+    # Every set's base and z scaled by 2^k: the circumcentered step takes
+    # its rows at their working scale, so a run far out or near 0 takes
+    # the same steps, each 2^k times the unscaled one, bit for bit. A
+    # step_tol below every step norm lets the run go on to max_iter or an
+    # exact fixed point.
+    cfg = SolverConfig(max_iter=40, step_tol=5e-324)
+    for seed in (1, 2):
+        prob = generate_two_subspace(40, 10, 10, cf, seed)
+        sets = [AffineSubspace(np.ldexp(s.base, k), s.onb) for s in prob.subspaces]
+        far = Problem(sets, np.ldexp(prob.z, k))
+        for method in (Method.CDRM, Method.CRM):
+            ref, got = run(method, prob, cfg), run(method, far, cfg)
+            assert (got.reason, got.num_steps) == (ref.reason, ref.num_steps)
+            for a, b in zip(ref.iterates, got.iterates, strict=True):
+                assert np.array_equal(b, np.ldexp(a, k))
 
 
 def assert_finite_trace(trace):
@@ -825,13 +845,13 @@ DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]])
 @pytest.mark.parametrize(
     "sets, z, expected",
     [
-        (AXIS_FAR, (-1e308, 1e308), ["degenerate 0", "step_tol 21", "step_tol 127",
+        (AXIS_FAR, (-1e308, 1e308), ["step_tol 2", "step_tol 21", "step_tol 127",
                                      "step_tol 21", "step_tol 2", "step_tol 2"]),
         (AXIS_FAR, (-1.5e308, 0), ["step_tol 22", "degenerate 0", "step_tol 107",
                                    "non_finite 0", "non_finite 0", "non_finite 0"]),
         (AXIS_FAR, (-1e308, -1e308), ["degenerate 0", "degenerate 0", "non_finite 0",
                                       "non_finite 0", "non_finite 0", "non_finite 0"]),
-        (AXIS_FAR, (0, 1e308), ["degenerate 0", "step_tol 23", "step_tol 126",
+        (AXIS_FAR, (0, 1e308), ["step_tol 24", "step_tol 23", "step_tol 126",
                                 "step_tol 125", "step_tol 54", "step_tol 54"]),
         (DIAGONAL_FAR, (-1.7e308, 0), ["degenerate 0", "degenerate 0", "non_finite 0",
                                        "non_finite 0", "non_finite 0", "non_finite 0"]),
