@@ -23,8 +23,9 @@ both share one arithmetic path.
 `project`, `reflect`, `distance_to` and `intersect` take a difference
 of points that overflows at their working scale (see linalg), so a
 projection, reflection or distance in float range is finite, with no
-numpy warning. `_project` and `_reflect`, on the solvers' hot loop,
-subtract unscaled points.
+numpy warning. `_silently` is the one retake, and `_distance` the one
+distance to a set. `_project` and `_reflect`, on the solvers' hot
+loop, subtract unscaled points.
 """
 
 from __future__ import annotations
@@ -111,12 +112,6 @@ def _reflect(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     return 2.0 * _project(V, x) - x
 
 
-def _rescaled(V: AffineSubspace, x: np.ndarray):
-    """V and x at the working scale of x and V.base (see linalg), and its exponent."""
-    (x, base), e, *_ = _scaled(np.vstack([x, V.base]))
-    return AffineSubspace(base, V.onb), x, e
-
-
 def _silently(kernel, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     """kernel(V, x), silently. When an entry is not finite, as when
     x - V.base overflows, it is taken again at working scale and scaled
@@ -125,18 +120,14 @@ def _silently(kernel, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
         out = kernel(V, x)
         if np.isfinite(out).all():
             return out
-        V, x, e = _rescaled(V, x)
-        return np.ldexp(kernel(V, x), e)
+        (x, base), e, *_ = _scaled(np.vstack([x, V.base]))
+        return np.ldexp(kernel(AffineSubspace(base, V.onb), x), e)
 
 
 def _distance(V: AffineSubspace, x: np.ndarray) -> float:
-    """|x - P_V x| as _silently takes it, with a test on one float."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = _norm(x - _project(V, x))
-        if dist < math.inf:
-            return dist
-        V, x, e = _rescaled(V, x)
-        return float(np.ldexp(_norm(x - _project(V, x)), e))
+    """|x - P_V x|, P_V x taken by _silently; inf only beyond float range."""
+    with np.errstate(over="ignore"):
+        return _norm(x - _silently(_project, V, x))
 
 
 def project(V: AffineSubspace, x) -> np.ndarray:

@@ -64,7 +64,7 @@ def _print_summary(problem: Problem, trace: SolverTrace):
     print(f"iterations {trace.num_steps}")
     print(f"reason {trace.reason}")
     print(f"final_dist {_fmt(trace.dists[-1])}")
-    print(f"final_residual {_fmt(trace.residuals[-1])}")
+    print(f"final_residual {_fmt(trace.residual(-1))}")
     print(f"rate {_rate(trace)}")
     print(f"{cf_label} {_fmt(cf)}")
 
@@ -104,7 +104,8 @@ def _solve(args, methods: str | None, report, default_csv=None) -> int:
     sets. The problem is loaded, each method checked against its sets and
     the CSV output (--csv, else default_csv: a stream, or None for none)
     opened before the first run, so a bad request or an unwritable path
-    fails before any work; a --csv file is truncated only as the rows are
+    fails before any work. Rows, which read every residual, are built
+    only for an output; a --csv file is truncated only as they are
     written, after the last run, so a failed request leaves it as it was.
     """
     problem = load_problem(args.problem_file)
@@ -123,7 +124,8 @@ def _solve(args, methods: str | None, report, default_csv=None) -> int:
         for method in methods:
             trace = run(method, problem, cfg)
             report(problem, trace)
-            rows += _trace_rows(trace)
+            if fh is not None:
+                rows += _trace_rows(trace)
         if args.csv and os.path.isfile(args.csv):
             fh.truncate(0)  # rows are appended; a pipe or device is not cut
         if fh is not None:

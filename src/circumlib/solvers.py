@@ -21,9 +21,9 @@ dimension), call the table and raise DegenerateStep on None. `Problem`
 validates z once and projects it with the kernel, as the initializers
 do; `run` calls the same table, so a run and the public steps compute
 the same numbers, and ends with the reason "degenerate" on None.
-`run` projects each x_k onto U_1 once and hands P_{U_1} x_k to the
-next step; it takes no distance to the other sets, which
-`SolverTrace.residuals` measures when it is first read.
+`run` projects each x_k onto U_1 once, hands P_{U_1} x_k to the next
+step and records only dists; `SolverTrace.residual` takes a point's
+distances to the sets, by `affine._distance`, when it is read.
 """
 
 from __future__ import annotations
@@ -140,11 +140,10 @@ class SolverTrace:
     """Iterates plus per-iteration diagnostics.
 
     iterates[0] is the starting point; step_norms[k] = |x_{k+1} - x_k|,
-    so len(step_norms) = len(iterates) - 1. dists, to_first and
-    residuals cover every iterate, measured on the shadow sequence for
-    dr (the raw dr iterate does not approach the solution; its shadow
-    does). to_first[k] is that point's distance to sets[0], which `run`
-    records; residuals are measured when first read (see there).
+    so len(step_norms) = len(iterates) - 1. dists and residuals cover
+    every iterate, measured on the shadow sequence for dr (the raw dr
+    iterate does not approach the solution; its shadow does). `run`
+    records the dists; a residual is measured when read (see residual).
     """
 
     method: Method
@@ -154,7 +153,6 @@ class SolverTrace:
     shadows: list[np.ndarray] | None = None
     reason: str = ""
     sets: list[AffineSubspace] = field(default_factory=list, repr=False)
-    to_first: list[float] = field(default_factory=list)
     _residuals: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -172,24 +170,26 @@ class SolverTrace:
     def final(self) -> np.ndarray:
         return self._observed[-1]
 
+    def residual(self, k: int) -> float:
+        """Largest `affine._distance` from the k-th measured point to a
+        set, skipping sets[0] for dr's shadow, which lies on it; finite,
+        as it is at most the point's dist."""
+        obs = self._observed[k]
+        sets = self.sets if self.shadows is None else self.sets[1:]
+        return max(_distance(s, obs) for s in sets)
+
     @property
     def residuals(self) -> list[float]:
-        """Each measured point's largest distance to any set,
-        max(to_first[k], distance to sets[1], ...), measured on the first
-        read and kept. `affine._distance` takes each distance at working
-        scale where it would overflow, silently, so a residual, which is
-        at most the point's dist, is finite with it."""
+        """residual(k) of every measured point, kept from the first read."""
         if self._residuals is None:
-            self._residuals = [
-                max(to_first, *(_distance(s, obs) for s in self.sets[1:]))
-                for to_first, obs in zip(self.to_first, self._observed)
-            ]
+            self._residuals = [self.residual(k) for k in range(len(self.dists))]
         return self._residuals
 
 
 # Step kernels: x is a finite vector of the sets' ambient space and p is
 # its projection onto the first set, which run() has already computed to
-# measure x and _step computes for a public step.
+# measure x and _step computes for a public step. A p that overflowed
+# gives None or an iterate that is not finite.
 
 
 def _crm(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray | None:
@@ -277,18 +277,17 @@ def run(
     - "step_tol": successive iterates are at most step_tol apart;
     - "degenerate": a cdrm or crm step's reflection points have no
       circumcenter (Empty), from rounding or an overflowed reflection;
-    - "non_finite": the next iterate, its step norm, shadow, dist or
-      distance to U_1 has an infinite or NaN entry (an overflow); it is
-      not recorded, so every recorded number is finite, trace.residuals
-      included (see there);
+    - "non_finite": the next iterate, its step norm, shadow or dist
+      has an infinite or NaN entry (an overflow); it is not recorded,
+      so every recorded number is finite, the residuals included;
     - "max_iter": max_iter steps were taken.
 
-    The reason names any overflow, so numpy warns of none. A method that
+    The reason names any overflow, so numpy warns of none; an iterate
+    whose P_{U_1} x overflows ends the run at its step. A method that
     does not take the problem's number of sets (`Method.check_sets`) and
-    a starting point whose shadow, dist or distance to U_1 overflows
-    raise ValueError. dr traces also carry the shadow sequence
-    P_{U_1} x_k and measure distances on it (a shadow's distance to U_1
-    is 0); the module docstring says how each x_k is projected.
+    a starting point whose shadow or dist overflows raise ValueError.
+    dr traces also carry the shadow sequence P_{U_1} x_k and measure
+    distances on it; the module docstring says how each x_k is projected.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -301,24 +300,18 @@ def run(
     trace = SolverTrace(method=method, shadows=[] if shadowed else None, sets=sets)
 
     def record(x: np.ndarray) -> np.ndarray | None:
-        """Append x with its shadow, dist and distance to U_1, measured
-        on obs (dr's shadow p, else x), and return p = P_{U_1} x for the
-        next step; None, appending nothing, when one is not finite (an
-        overflow). obs's distance to U_1 is |x - p|, which is not finite
-        when p is not, or 0 for a shadow, which is not computed; a
-        non-finite shadow has a non-finite dist. The residual is not
-        taken (see SolverTrace.residuals)."""
+        """Append x with its dist, measured on obs (dr's shadow p, else
+        x), and return p = P_{U_1} x for the next step; None, appending
+        nothing, when the dist is not finite (an overflow)."""
         p = _project(U, x)
         obs = p if shadowed else x
-        to_first = 0.0 if shadowed else _norm(x - p)
         dist = _norm(obs - solution)
-        if not (math.isfinite(dist) and math.isfinite(to_first)):
+        if not math.isfinite(dist):
             return None
         trace.iterates.append(x)
         if shadowed:
             trace.shadows.append(obs)
         trace.dists.append(dist)
-        trace.to_first.append(to_first)
         return p
 
     x = _initial_point(problem, cfg.initializer)

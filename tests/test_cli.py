@@ -437,11 +437,16 @@ def test_bench_default_methods_take_the_sets(tmp_path, capsys):
     assert "cdrm" not in captured.err and "dr:" not in captured.err
 
 
+def measured_sets(trace):
+    # dr's residual skips the first set, on which its shadow lies.
+    return len(trace.sets) - (trace.method.value == "dr")
+
+
 def test_bench_takes_each_residual_once(tmp_path, capsys, monkeypatch):
     # Without --csv, bench writes its CSV to stdout. A run takes no
-    # distance to a set after the first and the progress line reads no
-    # residual; each trace's residual column takes one distance per
-    # measured point and later set.
+    # distance to a set and the progress line reads no residual; each
+    # trace's residual column takes one distance per measured point and
+    # set, the first set left out for dr.
     path = gen_problem(tmp_path)
     calls, traces = [], []
 
@@ -451,7 +456,7 @@ def test_bench_takes_each_residual_once(tmp_path, capsys, monkeypatch):
 
     def progress(problem, trace, inner=cli_mod._print_progress):
         taken = len(calls)
-        assert taken == sum(len(t.dists) for t in traces)
+        assert taken == sum(len(t.dists) * measured_sets(t) for t in traces)
         inner(problem, trace)
         assert len(calls) == taken
         traces.append(trace)
@@ -461,10 +466,38 @@ def test_bench_takes_each_residual_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["bench", str(path)]) == 0
     assert [t.method.value for t in traces] == ["cdrm", "crm", "dr", "map"]
-    assert len(calls) == sum(len(t.dists) for t in traces)
+    assert len(calls) == sum(len(t.dists) * measured_sets(t) for t in traces)
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert [float(r[3]) for r in rows[1:]] == [r for t in traces for r in t.residuals]
-    assert len(calls) == len(rows) - 1
+
+
+@pytest.mark.parametrize("method", ["cdrm", "dr", "map"])
+def test_solve_without_csv_takes_only_the_final_residual(
+    tmp_path, capsys, monkeypatch, method
+):
+    # With no CSV output no row is built, so solve takes the distances
+    # of the final measured point alone, for its summary line.
+    path = gen_problem(tmp_path)
+    calls, traces = [], []
+
+    def counted(s, x, inner=solvers_mod._distance):
+        calls.append(x)
+        return inner(s, x)
+
+    def summary(problem, trace, inner=cli_mod._print_summary):
+        traces.append(trace)
+        inner(problem, trace)
+
+    monkeypatch.setattr(solvers_mod, "_distance", counted)
+    monkeypatch.setattr(cli_mod, "_print_summary", summary)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--method", method]) == 0
+    (trace,) = traces
+    assert trace.num_steps > 2
+    assert len(calls) == measured_sets(trace)
+    assert all(x is trace.final for x in calls)
+    fields = summary_dict(capsys.readouterr().out)
+    assert float(fields["final_residual"]) == trace.residuals[-1]
 
 
 def test_bench_unknown_method(tmp_path, capsys):

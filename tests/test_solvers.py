@@ -805,10 +805,10 @@ def test_run_projects_each_iterate_onto_the_first_set_once(monkeypatch, method):
 
 
 def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
-    # No stopping rule reads a distance to a set after the first, so a
-    # run takes none; trace.residuals takes them on its first read, one
-    # per measured point (dr's shadow, else the iterate) and later set,
-    # and keeps them.
+    # No stopping rule reads a distance to a set, so a run takes none;
+    # trace.residuals takes them on its first read, one per measured
+    # point (dr's shadow, else the iterate) and set, the first set left
+    # out for dr, whose shadow lies on it, and keeps them.
     calls = []
 
     def counted(s, x, inner=solvers_mod._distance):
@@ -824,9 +824,9 @@ def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
         assert trace.num_steps >= 4 and not calls
         residuals = trace.residuals
         points = trace.shadows if method is Method.DR else trace.iterates
-        later = prob.subspaces[1:]
-        assert len(calls) == len(points) * len(later)
-        assert all(s is later[k % len(later)] for k, s in enumerate(calls))
+        sets = prob.subspaces[1:] if method is Method.DR else prob.subspaces
+        assert len(calls) == len(points) * len(sets)
+        assert all(s is sets[k % len(sets)] for k, s in enumerate(calls))
         calls.clear()
         assert trace.residuals is residuals and not calls
 
@@ -839,6 +839,12 @@ def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
 # point's ValueError, of cdrm, dr and map, each from z and from P_U z.
 AXIS_FAR = (from_span([0, 0], [[1, 1]]), from_span([1.5e308, 0], [[1, 0]]))
 DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]]))
+# The first set far out: x - U.base overflows in P_U x, which run does
+# not record, so a run from z starts, and its step ends it by name. The
+# "start" entries are that overflow in the hot-loop `_project` of the
+# starting point itself (P_U z, and dr's shadow), which subtracts
+# unscaled points.
+FIRST_FAR = (from_span([1.5e308, 0], [[1, 0]]), from_span([0, 0], [[0, 1]]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -857,8 +863,10 @@ DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]])
                                        "non_finite 0", "non_finite 0", "non_finite 0"]),
         (DIAGONAL_FAR, (0, -1.7e308), ["degenerate 2", "degenerate 1", "max_iter 1000",
                                        "max_iter 1000", "step_tol 2", "step_tol 2"]),
+        (FIRST_FAR, (-5e307, 3), ["degenerate 0", "start", "start",
+                                  "start", "non_finite 0", "start"]),
     ],
-    ids=["axis-0", "axis-1", "axis-2", "axis-3", "diagonal-0", "diagonal-1"],
+    ids=["axis-0", "axis-1", "axis-2", "axis-3", "diagonal-0", "diagonal-1", "first-0"],
 )
 def test_run_far_out_keeps_its_reasons_and_finite_residuals(sets, z, expected):
     prob = Problem(sets, z)
