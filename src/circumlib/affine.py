@@ -23,9 +23,11 @@ both share one arithmetic path.
 `project`, `reflect`, `distance_to` and `intersect` take a difference
 of points that overflows at their working scale (see linalg), so a
 projection, reflection or distance in float range is finite, with no
-numpy warning. `_silently` is the one retake, and `_distance` the one
-distance to a set. `_project` and `_reflect`, on the solvers' hot
-loop, subtract unscaled points.
+numpy warning. `_silently` is the one retake. `_distance` is the one
+distance to a set: the norm of the residual x - P_V x (`_residual`),
+taken whole by `_silently`, so each distance pays one `errstate`, one
+finiteness test and at most one retake. `_project` and `_reflect`, on
+the solvers' hot loop, subtract unscaled points.
 """
 
 from __future__ import annotations
@@ -112,6 +114,10 @@ def _reflect(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     return 2.0 * _project(V, x) - x
 
 
+def _residual(V: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    return x - _project(V, x)
+
+
 def _silently(kernel, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
     """kernel(V, x), silently. When an entry is not finite, as when
     x - V.base overflows, it is taken again at working scale and scaled
@@ -125,9 +131,9 @@ def _silently(kernel, V: AffineSubspace, x: np.ndarray) -> np.ndarray:
 
 
 def _distance(V: AffineSubspace, x: np.ndarray) -> float:
-    """|x - P_V x|, P_V x taken by _silently; inf only beyond float range."""
-    with np.errstate(over="ignore"):
-        return _norm(x - _silently(_project, V, x))
+    """|x - P_V x|, the residual x - P_V x taken by _silently, so one
+    retake covers the whole difference; inf only beyond float range."""
+    return _norm(_silently(_residual, V, x))
 
 
 def project(V: AffineSubspace, x) -> np.ndarray:

@@ -23,7 +23,8 @@ do; `run` calls the same table, so a run and the public steps compute
 the same numbers, and ends with the reason "degenerate" on None.
 `run` projects each x_k onto U_1 once, hands P_{U_1} x_k to the next
 step and records only dists; `SolverTrace.residual` takes a point's
-distances to the sets, by `affine._distance`, when it is read.
+distances to the sets, by `affine._distance`, on its first read and
+keeps them, so each is taken once however the trace is read.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class SolverTrace:
     so len(step_norms) = len(iterates) - 1. dists and residuals cover
     every iterate, measured on the shadow sequence for dr (the raw dr
     iterate does not approach the solution; its shadow does). `run`
-    records the dists; a residual is measured when read (see residual).
+    records the dists; a residual is measured on its first read and kept
+    (see residual).
     """
 
     method: Method
@@ -153,8 +155,8 @@ class SolverTrace:
     shadows: list[np.ndarray] | None = None
     reason: str = ""
     sets: list[AffineSubspace] = field(default_factory=list, repr=False)
-    _residuals: list[float] | None = field(
-        default=None, init=False, repr=False, compare=False
+    _residuals: list[float | None] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
 
     @property
@@ -173,16 +175,23 @@ class SolverTrace:
     def residual(self, k: int) -> float:
         """Largest `affine._distance` from the k-th measured point to a
         set, skipping sets[0] for dr's shadow, which lies on it; finite,
-        as it is at most the point's dist."""
-        obs = self._observed[k]
-        sets = self.sets if self.shadows is None else self.sets[1:]
-        return max(_distance(s, obs) for s in sets)
+        as it is at most the point's dist. Taken on the first read of
+        that point and kept in the list `residuals` returns."""
+        kept = self._residuals
+        kept += [None] * (len(self.dists) - len(kept))
+        r = kept[k]
+        if r is None:
+            obs = self._observed[k]
+            sets = self.sets if self.shadows is None else self.sets[1:]
+            r = kept[k] = max(_distance(s, obs) for s in sets)
+        return r
 
     @property
     def residuals(self) -> list[float]:
-        """residual(k) of every measured point, kept from the first read."""
-        if self._residuals is None:
-            self._residuals = [self.residual(k) for k in range(len(self.dists))]
+        """residual(k) of every measured point: one kept list, completed
+        on the first read and the same object on every read."""
+        for k in range(len(self.dists)):
+            self.residual(k)
         return self._residuals
 
 

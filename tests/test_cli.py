@@ -500,6 +500,37 @@ def test_solve_without_csv_takes_only_the_final_residual(
     assert float(fields["final_residual"]) == trace.residuals[-1]
 
 
+@pytest.mark.parametrize("method", ["cdrm", "dr", "map"])
+def test_solve_with_csv_takes_each_residual_once(tmp_path, capsys, monkeypatch, method):
+    # The summary reads the final residual before the rows read every
+    # one; the rows reuse it, so each measured point's distances to the
+    # sets are taken once.
+    path = gen_problem(tmp_path)
+    out = tmp_path / "r.csv"
+    calls, traces = [], []
+
+    def counted(s, x, inner=solvers_mod._distance):
+        calls.append(x)
+        return inner(s, x)
+
+    def summary(problem, trace, inner=cli_mod._print_summary):
+        traces.append(trace)
+        inner(problem, trace)
+
+    monkeypatch.setattr(solvers_mod, "_distance", counted)
+    monkeypatch.setattr(cli_mod, "_print_summary", summary)
+    capsys.readouterr()
+    assert main(["solve", str(path), "--method", method, "--csv", str(out)]) == 0
+    (trace,) = traces
+    assert trace.num_steps > 2
+    assert len(calls) == len(trace.dists) * measured_sets(trace)
+    fields = summary_dict(capsys.readouterr().out)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(trace.dists)
+    assert float(fields["final_residual"]) == float(rows[-1]["residual"])
+
+
 def test_bench_unknown_method(tmp_path, capsys):
     path = gen_problem(tmp_path)
     capsys.readouterr()

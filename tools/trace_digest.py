@@ -1,13 +1,13 @@
-"""Print one SHA-256 over solver traces and generated problems.
+"""Print SHA-256 digests of solver traces, generated problems and circumcenters.
 
-Two checkouts that print the same digest compute the same numbers on
+Two checkouts that print the same lines compute the same numbers on
 the fixed inputs below. circumlib is imported from the import path, so
 the same script hashes any checkout:
 
     PYTHONPATH=src python tools/trace_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/trace_digest.py
 
-The digest covers, in a fixed order:
+The first line is one digest over, in a fixed order:
 
 - the `run` trace (reason, iterates, shadows, dists, residuals and step
   norms) of every method, initializer and sol_tol in {None, 1e-8} on
@@ -18,6 +18,14 @@ The digest covers, in a fixed order:
   the intersection and the solution) over a fixed grid of n, dims, cf
   and seed, and of the same problem with the second set's base moved
   along the first set, so that the sets meet away from a shared base.
+
+The second line, `circumcenter <sha>`, is a digest of the center and
+radius, or Empty, of `circumcenter()` on seeded point sets in R^6:
+triples of every kind the three-point kernel decides (generic, with a
+duplicated point, all coincident, collinear, near-collinear at sines
+1e-2 to 1e-9, and with a near-duplicate at 0.5 and 2 times the rank
+tolerance) and sets of 2, 4 and 5 points, each at scales 2^-600, 1 and
+2^600, and each of those again moved by a vector of norm 1e8.
 """
 
 from __future__ import annotations
@@ -29,10 +37,13 @@ import numpy as np
 
 from circumlib import (
     AffineSubspace,
+    CircumConfig,
     Initializer,
     Method,
     Problem,
     SolverConfig,
+    Xorshift64Star,
+    circumcenter,
     generate_two_subspace,
     run,
 )
@@ -43,6 +54,13 @@ OFFSET_NORM = 1e4
 GRID_SHAPES = ((8, 2, 3), (21, 4, 5), (60, 15, 15), (200, 50, 50))
 GRID_CFS = (0.0, 0.5, 0.95)
 GRID_SEEDS = (1, 2)
+CC_DIM = 6
+CC_SEEDS = (1, 2, 3)
+CC_SINES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+CC_NEAR = (0.5, 2.0)
+CC_SIZES = (2, 4, 5)
+CC_EXPONENTS = (-600, 0, 600)
+CC_OFFSET_NORM = 1e8
 
 
 def moved(problem: Problem, offset: np.ndarray) -> Problem:
@@ -89,11 +107,46 @@ def feed_generated(h) -> None:
         feed_problem(h, Problem([U, apart], problem.z))
 
 
+def point_sets(rng: Xorshift64Star):
+    """The triples of every kind _three decides, then sets of CC_SIZES
+    points, drawn from rng."""
+    x, a, w = (rng.normal_vector(CC_DIM) for _ in range(3))
+    w = w - (w @ a) / (a @ a) * a
+    a_hat, w_hat = a / np.linalg.norm(a), w / np.linalg.norm(w)
+    yield np.array([x, x + a, x + w])  # generic
+    yield np.array([x, x + a, x])  # duplicated
+    yield np.array([x, x, x])  # all coincident
+    yield np.array([x, x + a, x - 2.5 * a])  # collinear
+    for sin in CC_SINES:
+        yield np.array([x, x + a, x + 3.0 * (np.sqrt(1.0 - sin**2) * a_hat + sin * w_hat)])
+    for f in CC_NEAR:
+        yield np.array([x, x + f * CircumConfig.rank_tol * np.linalg.norm(a) * w_hat, x + a])
+    for m in CC_SIZES:
+        yield np.array([rng.normal_vector(CC_DIM) for _ in range(m)])
+
+
+def feed_circumcenters(h) -> None:
+    for seed in CC_SEEDS:
+        rng = Xorshift64Star(seed)
+        offset = rng.normal_vector(CC_DIM)
+        offset *= CC_OFFSET_NORM / np.linalg.norm(offset)
+        for P in point_sets(rng):
+            for e, shift in itertools.product(CC_EXPONENTS, (0.0, offset)):
+                out = circumcenter(np.ldexp(P, e) + shift)
+                if out.is_empty:
+                    h.update(b"Empty")
+                else:
+                    feed_arrays(h, [out.center, [out.radius]])
+
+
 def main() -> None:
     h = hashlib.sha256()
     feed_traces(h)
     feed_generated(h)
     print(h.hexdigest())
+    h = hashlib.sha256()
+    feed_circumcenters(h)
+    print(f"circumcenter {h.hexdigest()}")
 
 
 if __name__ == "__main__":
