@@ -26,8 +26,10 @@ projection, reflection or distance in float range is finite, with no
 numpy warning. `_silently` is the one retake. `_distance` is the one
 distance to a set: the norm of the residual x - P_V x (`_residual`),
 taken whole by `_silently`, so each distance pays one `errstate`, one
-finiteness test and at most one retake. `_project` and `_reflect`, on
-the solvers' hot loop, subtract unscaled points.
+finiteness test and at most one retake. The bare `_project` and
+`_reflect` subtract unscaled points, so they run only where a run
+iterates (the step kernels and `run`'s loop); every one-time
+projection, the solvers' included, goes through `_silently`.
 """
 
 from __future__ import annotations

@@ -21,10 +21,8 @@ r = b - (a.b / a.a) a, and the sweep's keep, conditioning and
 forward-substitution rules for those two rows in scalar arithmetic.
 It settles every triple itself, duplicates and collinear ones
 included. Both paths end in verify_equidistant's check, on one measure:
-_distances gives the distances to the center as m Python floats, whose
-min, max and mean give the bits of numpy's reductions without their
-call cost (the mean of 8 or more distances still uses numpy's pairwise
-sum).
+_distances gives the distances to the center as m Python floats; their
+min, max and mean (a sum in sequence over m) take no numpy call.
 
 The step of the two-set circumcentered-reflection method has a kernel
 of its own, _reflection_triple: it keeps _three's rules but takes them
@@ -274,8 +272,7 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
     d = _distances(P, center)
     if not _equidistant(d, cfg.verify_tol, noise):
         return CircumOutcome.empty()
-    # The sum numpy gave: in sequence below 8 terms, pairwise from 8.
-    radius = (sum(d) if len(d) < 8 else float(np.sum(d))) / len(d)
+    radius = sum(d) / len(d)
     if e:
         center, radius = np.ldexp(center, e), np.ldexp(radius, e)
     return CircumOutcome.exists(center, radius)

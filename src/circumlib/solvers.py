@@ -17,14 +17,18 @@ v = P_{U_2} y - y with y = R_{U_1} x, at their working scale
 bits and a run scaled by a power of two is that run, scaled, bit for
 bit; on more sets it stacks the points for circumcenter's kernel. The
 public step operators validate x once (`as_vector` and the ambient
-dimension), call the table and raise DegenerateStep on None. `Problem`
-validates z once and projects it with the kernel, as the initializers
-do; `run` calls the same table, so a run and the public steps compute
-the same numbers, and ends with the reason "degenerate" on None.
-`run` projects each x_k onto U_1 once, hands P_{U_1} x_k to the next
-step and records only dists; `SolverTrace.residual` takes a point's
-distances to the sets, by `affine._distance`, on its first read and
-keeps them, so each is taken once however the trace is read.
+dimension), call the table and raise DegenerateStep on None or a next
+point that is not finite. `run` calls the same table, so a run and the
+public steps compute the same numbers, and ends with the reason
+"degenerate" on None. `run` projects each x_k onto U_1 once, hands
+P_{U_1} x_k to the next step and records only dists;
+`SolverTrace.residual` takes a point's distances to the sets, by
+`affine._distance`, on its first read and keeps them, so each is taken
+once however the trace is read. The bare `_project` and `_reflect` run
+only in the step kernels and `run`'s loop; every one-time projection
+(`Problem.solution`, the initializers, `run`'s start and a public
+step's P_{U_1} x) is `affine._silently(_project, ...)`, which keeps the
+bare kernel's bits whenever they are finite.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .affine import (
     _point_for,
     _project,
     _reflect,
+    _silently,
     from_span,
     intersect,
 )
@@ -50,7 +55,8 @@ from .linalg import _norm
 
 
 class DegenerateStep(RuntimeError):
-    """cdrm_step or crm_step met reflection points with no circumcenter."""
+    """A public step met reflection points with no circumcenter, or its
+    next point is not finite (an overflow)."""
 
 
 class InsufficientData(ValueError):
@@ -104,7 +110,7 @@ class Problem:
 
     The intersection is computed once here, by folding `intersect` over
     the sets, which validates it at DEFAULT_MEMBERSHIP_TOL; the reference
-    solution is project(intersection, z).
+    solution is project(intersection, z), bit for bit.
     """
 
     def __init__(self, subspaces, z):
@@ -125,7 +131,7 @@ class Problem:
                 )
                 raise NoIntersection(f"{prefix} share no point: {exc}") from exc
         self.intersection: AffineSubspace = common
-        self.solution: np.ndarray = _project(common, self.z)
+        self.solution: np.ndarray = _silently(_project, common, self.z)
 
     @property
     def dim(self) -> int:
@@ -228,15 +234,18 @@ def _map(subspaces, x: np.ndarray, p: np.ndarray) -> np.ndarray:
 _KERNELS = {Method.CDRM: _crm, Method.CRM: _crm, Method.DR: _dr, Method.MAP: _map}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _step(method: Method, subspaces, x) -> np.ndarray:
-    """One step of method from x, validated once against every set."""
+    """One step of method from x, validated once against every set, with
+    P_{U_1} x taken silently; DegenerateStep names an Empty or
+    overflowed next point, with no numpy warning."""
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("a step needs at least one set")
     x = _point_for(subspaces, x)
-    x_next = _KERNELS[method](subspaces, x, _project(subspaces[0], x))
-    if x_next is None:
-        raise DegenerateStep("circumcenter of the reflection set is empty")
+    x_next = _KERNELS[method](subspaces, x, _silently(_project, subspaces[0], x))
+    if x_next is None or not np.isfinite(x_next).all():
+        raise DegenerateStep("the next point is Empty or not finite")
     return x_next
 
 
@@ -264,11 +273,11 @@ def _initial_point(problem: Problem, initializer: Initializer) -> np.ndarray:
     if initializer is Initializer.RAW_Z:
         return problem.z.copy()
     if initializer is Initializer.PROJECT_FIRST_SET:
-        return _project(problem.subspaces[0], problem.z)
+        return _silently(_project, problem.subspaces[0], problem.z)
     # Projection onto the sum of the direction spaces, anchored at a
     # point known to lie in every subspace.
     directions = np.vstack([s.onb for s in problem.subspaces])
-    return _project(from_span(problem.intersection.base, directions), problem.z)
+    return _silently(_project, from_span(problem.intersection.base, directions), problem.z)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -291,12 +300,13 @@ def run(
       so every recorded number is finite, the residuals included;
     - "max_iter": max_iter steps were taken.
 
-    The reason names any overflow, so numpy warns of none; an iterate
-    whose P_{U_1} x overflows ends the run at its step. A method that
-    does not take the problem's number of sets (`Method.check_sets`) and
-    a starting point whose shadow or dist overflows raise ValueError.
-    dr traces also carry the shadow sequence P_{U_1} x_k and measure
-    distances on it; the module docstring says how each x_k is projected.
+    The reason names any overflow, so numpy warns of none; x_0 and
+    P_{U_1} x_0 are taken silently (see the module docstring), and a
+    later iterate whose P_{U_1} x overflows ends the run at its step. A
+    method that does not take the problem's number of sets
+    (`Method.check_sets`) and a starting point whose shadow or dist
+    overflows raise ValueError. dr traces also carry the shadow sequence
+    P_{U_1} x_k and measure distances on it.
     """
     method = Method(method)
     method.check_sets(problem.num_sets)
@@ -308,24 +318,23 @@ def run(
     solution = problem.solution
     trace = SolverTrace(method=method, shadows=[] if shadowed else None, sets=sets)
 
-    def record(x: np.ndarray) -> np.ndarray | None:
-        """Append x with its dist, measured on obs (dr's shadow p, else
-        x), and return p = P_{U_1} x for the next step; None, appending
-        nothing, when the dist is not finite (an overflow)."""
-        p = _project(U, x)
+    def record(x: np.ndarray, p: np.ndarray) -> bool:
+        """Append x with its dist, measured on obs (dr's shadow p =
+        P_{U_1} x, else x); False, appending nothing, when the dist is
+        not finite (an overflow)."""
         obs = p if shadowed else x
         dist = _norm(obs - solution)
         if not math.isfinite(dist):
-            return None
+            return False
         trace.iterates.append(x)
         if shadowed:
             trace.shadows.append(obs)
         trace.dists.append(dist)
-        return p
+        return True
 
     x = _initial_point(problem, cfg.initializer)
-    p = record(x)
-    if p is None:
+    p = _silently(_project, U, x)
+    if not record(x, p):
         raise ValueError("the starting point's shadow or distance overflows")
 
     reason = "max_iter"
@@ -336,8 +345,8 @@ def run(
             break
         # An inf or NaN entry of x_next makes its step norm inf or NaN.
         step_norm = _norm(x_next - x)
-        p = record(x_next) if step_norm < math.inf else None
-        if p is None:
+        p = _project(U, x_next)
+        if not (step_norm < math.inf and record(x_next, p)):
             reason = "non_finite"
             break
         x = x_next

@@ -835,15 +835,15 @@ def test_run_takes_residuals_only_when_they_are_read(monkeypatch):
 # though the point's dist is finite, along the axis set AXIS_FAR and the
 # diagonal set DIAGONAL_FAR. That distance is then taken at working
 # scale, so every residual is finite and run does not test them. Each
-# entry is the reason and step count, or "start" for the starting
-# point's ValueError, of cdrm, dr and map, each from z and from P_U z.
+# entry is the reason and step count of cdrm, dr and map, each from z
+# and from P_U z.
 AXIS_FAR = (from_span([0, 0], [[1, 1]]), from_span([1.5e308, 0], [[1, 0]]))
 DIAGONAL_FAR = (from_span([0, 0], [[1, 0]]), from_span([1e307, 1e307], [[1, 1]]))
-# The first set far out: x - U.base overflows in P_U x, which run does
-# not record, so a run from z starts, and its step ends it by name. The
-# "start" entries are that overflow in the hot-loop `_project` of the
-# starting point itself (P_U z, and dr's shadow), which subtracts
-# unscaled points.
+# The first set far out: z - U.base overflows in P_U z. P_U z, as an
+# initializer and as the start's projection, is taken at working scale
+# (affine._silently), as every one-time projection is, so each method
+# reaches the solution (0, 0) exactly in its first step, from z and from
+# P_U z, and stops on its second.
 FIRST_FAR = (from_span([1.5e308, 0], [[1, 0]]), from_span([0, 0], [[0, 1]]))
 
 
@@ -863,8 +863,7 @@ FIRST_FAR = (from_span([1.5e308, 0], [[1, 0]]), from_span([0, 0], [[0, 1]]))
                                        "non_finite 0", "non_finite 0", "non_finite 0"]),
         (DIAGONAL_FAR, (0, -1.7e308), ["degenerate 2", "degenerate 1", "max_iter 1000",
                                        "max_iter 1000", "step_tol 2", "step_tol 2"]),
-        (FIRST_FAR, (-5e307, 3), ["degenerate 0", "start", "start",
-                                  "start", "non_finite 0", "start"]),
+        (FIRST_FAR, (-5e307, 3), ["step_tol 2"] * 6),
     ],
     ids=["axis-0", "axis-1", "axis-2", "axis-3", "diagonal-0", "diagonal-1", "first-0"],
 )
@@ -873,15 +872,62 @@ def test_run_far_out_keeps_its_reasons_and_finite_residuals(sets, z, expected):
     got = []
     for method in (Method.CDRM, Method.DR, Method.MAP):
         for init in (Initializer.RAW_Z, Initializer.PROJECT_FIRST_SET):
-            try:
-                trace = run(method, prob, SolverConfig(initializer=init))
-            except ValueError as exc:
-                assert "starting point" in str(exc)
-                got.append("start")
-                continue
+            trace = run(method, prob, SolverConfig(initializer=init))
             assert_finite_trace(trace)
             got.append(f"{trace.reason} {trace.num_steps}")
     assert got == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_public_steps_take_the_first_projection_at_working_scale():
+    # From (-5e307, 3), x - U.base overflows in P_U x, which the public
+    # steps take by affine._silently, as run's start does: each step
+    # lands on the solution (0, 0) exactly, with no numpy warning.
+    U, V = FIRST_FAR
+    x = (-5e307, 3)
+    for x_next in (cdrm_step(U, V, x), crm_step(FIRST_FAR, x), dr_step(U, V, x),
+                   map_step(FIRST_FAR, x)):
+        assert np.array_equal(x_next, [0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_public_step_that_overflows_raises_degenerate_step():
+    # P_U x = (1e308, 0) is in range, but dr's x - P_U x is not: a public
+    # step has no trace to name the overflow in, so it raises.
+    U = from_span([1e308, 0], [[0, 1]])
+    V = from_span([0, 0], [[1, 0]])
+    with pytest.raises(DegenerateStep):
+        dr_step(U, V, [-1e308, 0])
+
+
+def far_line_problem():
+    """Two planes of R^3 that meet in the line b + span(u), |b| = MAX/2,
+    with z = (0.9 MAX, 0.5 MAX, 0): the solution (1.19e308, 1.68e308, 0)
+    and its distance 8.9e307 to z are in float range, but z - b is not."""
+    big = np.finfo(float).max
+    theta = 0.5
+    u = [np.cos(theta), np.sin(theta), 0.0]
+    b = 0.5 * big * np.array([-np.sin(theta), np.cos(theta), 0.0])
+    sets = [from_span(b, [u, [0, 0, 1]]), from_span(b, [u, [0, 1, 1]])]
+    return Problem(sets, [0.9 * big, 0.5 * big, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_problem_far_out_has_its_solution_and_every_run_a_reason():
+    # The reference solution and the projecting starts are one-time
+    # projections, taken at working scale where z - b overflows: the
+    # solution is public project's, bit for bit, and every run starts
+    # and ends with a named reason, with no numpy warning.
+    prob = far_line_problem()
+    assert np.isfinite(prob.solution).all()
+    assert np.array_equal(prob.solution, project(prob.intersection, prob.z))
+    assert distance_to(prob.intersection, prob.z) == pytest.approx(8.857e307, rel=1e-3)
+    for method in Method:
+        for init in Initializer:
+            trace = run(method, prob, SolverConfig(initializer=init))
+            assert trace.reason in ("sol_tol", "step_tol", "degenerate", "non_finite",
+                                    "max_iter")
+            assert_finite_trace(trace)
 
 
 @pytest.mark.filterwarnings("error")

@@ -26,6 +26,12 @@ duplicated point, all coincident, collinear, near-collinear at sines
 1e-2 to 1e-9, and with a near-duplicate at 0.5 and 2 times the rank
 tolerance) and sets of 2, 4 and 5 points, each at scales 2^-600, 1 and
 2^600, and each of those again moved by a vector of norm 1e8.
+
+The third line, `msets <sha>`, is a digest of the `run` traces of crm
+and map, every initializer and sol_tol in {None, 1e-8}, on planted
+problems of m = 3, 4 and 5 subspaces of R^30 drawn from an
+Xorshift64Star stream, and on a copy of each moved by a vector of norm
+1e4 (144 traces).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from circumlib import (
     SolverConfig,
     Xorshift64Star,
     circumcenter,
+    from_span,
     generate_two_subspace,
     run,
 )
@@ -61,6 +68,9 @@ CC_NEAR = (0.5, 2.0)
 CC_SIZES = (2, 4, 5)
 CC_EXPONENTS = (-600, 0, 600)
 CC_OFFSET_NORM = 1e8
+MSET_SIZES = (3, 4, 5)
+MSET_SEEDS = (1, 2)
+MSET_SHAPE = (30, 3, 5)  # n, shared dimension w, own directions d per set
 
 
 def moved(problem: Problem, offset: np.ndarray) -> Problem:
@@ -82,20 +92,25 @@ def feed_problem(h, problem: Problem) -> None:
         feed_arrays(h, [s.base, s.onb])
 
 
+def feed_runs(h, base: Problem, methods) -> None:
+    """The traces of methods from every initializer and sol_tol on base
+    and on base moved by a vector of norm OFFSET_NORM."""
+    offset = np.full(base.dim, OFFSET_NORM / np.sqrt(base.dim))
+    for problem in (base, moved(base, offset)):
+        for method, init, sol_tol in itertools.product(
+            methods, Initializer, (None, 1e-8)
+        ):
+            cfg = SolverConfig(sol_tol=sol_tol, initializer=init)
+            trace = run(method, problem, cfg)
+            h.update(f"{method.value} {init.value} {sol_tol} {trace.reason}".encode())
+            feed_arrays(h, trace.iterates)
+            feed_arrays(h, trace.shadows or [])
+            feed_arrays(h, [trace.dists, trace.residuals, trace.step_norms])
+
+
 def feed_traces(h) -> None:
     for cf, seed in itertools.product(TRACE_CFS, TRACE_SEEDS):
-        base = generate_two_subspace(60, 15, 15, cf, seed)
-        offset = np.full(base.dim, OFFSET_NORM / np.sqrt(base.dim))
-        for problem in (base, moved(base, offset)):
-            for method, init, sol_tol in itertools.product(
-                Method, Initializer, (None, 1e-8)
-            ):
-                cfg = SolverConfig(sol_tol=sol_tol, initializer=init)
-                trace = run(method, problem, cfg)
-                h.update(f"{method.value} {init.value} {sol_tol} {trace.reason}".encode())
-                feed_arrays(h, trace.iterates)
-                feed_arrays(h, trace.shadows or [])
-                feed_arrays(h, [trace.dists, trace.residuals, trace.step_norms])
+        feed_runs(h, generate_two_subspace(60, 15, 15, cf, seed), Method)
 
 
 def feed_generated(h) -> None:
@@ -139,6 +154,27 @@ def feed_circumcenters(h) -> None:
                     feed_arrays(h, [out.center, [out.radius]])
 
 
+def planted_sets(rng: Xorshift64Star, m: int) -> Problem:
+    """m subspaces c + span(W, D_i) of R^n and an anchor z, drawn from
+    rng: W is w orthonormal rows and D_i is d normal rows, so for
+    w + 2d <= n the sets share exactly c + span(W)."""
+    n, w, d = MSET_SHAPE
+    c = rng.normal_vector(n)
+    W = rng.orthogonal(n)[:w]
+    sets = []
+    for _ in range(m):
+        span = np.vstack([W, rng.normal_vector(d * n).reshape(d, n)])
+        sets.append(from_span(c + rng.normal_vector(w + d) @ span, span))
+    return Problem(sets, c + 3.0 * rng.normal_vector(n))
+
+
+def feed_msets(h) -> None:
+    for seed in MSET_SEEDS:
+        rng = Xorshift64Star(seed)
+        for m in MSET_SIZES:
+            feed_runs(h, planted_sets(rng, m), (Method.CRM, Method.MAP))
+
+
 def main() -> None:
     h = hashlib.sha256()
     feed_traces(h)
@@ -147,6 +183,9 @@ def main() -> None:
     h = hashlib.sha256()
     feed_circumcenters(h)
     print(f"circumcenter {h.hexdigest()}")
+    h = hashlib.sha256()
+    feed_msets(h)
+    print(f"msets {h.hexdigest()}")
 
 
 if __name__ == "__main__":
