@@ -125,11 +125,6 @@ def _equidistant(d: list[float], tol: float, noise: float) -> bool:
     return hi < math.inf and hi - min(d) <= tol * hi + noise
 
 
-def diameter(points) -> float:
-    S, e, _, _ = _scaled(as_points(points))
-    return float(np.ldexp(_diameter(S), e))
-
-
 def dedup(points, tol: float | None = None) -> list[np.ndarray]:
     """Drop points within tol of an earlier one; order preserved.
 

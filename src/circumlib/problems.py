@@ -7,7 +7,9 @@ batches: a GF(2) jump matrix splits it into lanes that numpy steps
 together, and the normals take log, cos and sin from math, so a batch
 equals the scalar draws bit for bit. The normals go through libm and the
 random frame through LAPACK's QR, so a generated instance is
-bit-identical on one installation, not across platforms.
+bit-identical on one installation, not across platforms. A frame of k
+columns draws every normal of its n x n matrix, so the stream moves as
+for the full matrix, but libm and the QR see only those k columns.
 
 Files are JSON indented by two spaces, with each vector on one line and
 floats written in shortest round-trip decimal form, which preserves
@@ -91,6 +93,8 @@ class Xorshift64Star:
     steps together, exactly. log, cos and sin go through math, one call
     per value, because numpy's vectorized kernels may differ from libm
     in the last bit and choose their code path from the CPU at run time.
+    orthogonal(n, k) draws all n * n normals but takes log, cos and sin
+    and the QR only for the first k columns.
     """
 
     def __init__(self, seed: int):
@@ -131,19 +135,29 @@ class Xorshift64Star:
         self._state = int(states[-1])
         return states * np.uint64(_XORSHIFT_MULT)
 
-    def _normals(self, k: int) -> np.ndarray:
-        """The next k normals, as k calls of the scalar Box-Muller draw give."""
+    def _normals(self, k: int, need: np.ndarray | None = None) -> np.ndarray:
+        """The next k normals, as k calls of the scalar Box-Muller draw give.
+
+        need, a boolean mask of length k (all True when None), marks the
+        normals the caller reads. Every word is drawn, so the stream and
+        the spare move as they do without a mask, but a Box-Muller pair
+        takes its log, cos and sin only when it holds a marked normal or
+        the spare; an unmarked normal of a skipped pair is NaN.
+        """
+        need = np.ones(k, bool) if need is None else need
         head = []
         if k and self._spare_normal is not None:
             head, self._spare_normal = [self._spare_normal], None
-            k -= 1
+            k, need = k - 1, need[1:]
         u = (self._words(2 * ((k + 1) // 2)) >> np.uint64(11)) * 2.0**-53
-        u1 = 1.0 - u[0::2]  # in (0, 1], keeps log finite
+        live = np.append(need, True)[: u.size].reshape(-1, 2).any(axis=1)
+        u1 = 1.0 - u[0::2][live]  # in (0, 1], keeps log finite
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float))
-        angle = (2.0 * math.pi * u[1::2]).tolist()
-        z = np.empty(u.size)
-        z[0::2] = r * np.fromiter(map(math.cos, angle), float)
-        z[1::2] = r * np.fromiter(map(math.sin, angle), float)
+        angle = (2.0 * math.pi * u[1::2][live]).tolist()
+        z = np.full((live.size, 2), np.nan)
+        z[live, 0] = r * np.fromiter(map(math.cos, angle), float)
+        z[live, 1] = r * np.fromiter(map(math.sin, angle), float)
+        z = z.ravel()
         if k % 2:
             self._spare_normal, z = float(z[-1]), z[:-1]
         return np.concatenate([head, z])
@@ -154,10 +168,23 @@ class Xorshift64Star:
     def normal_vector(self, n: int) -> np.ndarray:
         return self._normals(n)
 
-    def orthogonal(self, n: int) -> np.ndarray:
-        """Random n x n orthogonal matrix (QR of a normal matrix, signs fixed)."""
-        M = self._normals(n * n).reshape(n, n)
-        Q, R = np.linalg.qr(M)
+    def orthogonal(self, n: int, k: int | None = None) -> np.ndarray:
+        """The first k columns (all n when k is None) of a random n x n
+        orthogonal matrix: the QR of an n x n normal matrix, signs fixed.
+
+        Every normal of the matrix is drawn, so the stream moves as for
+        k = n, but Box-Muller's libm calls and the QR see only the first
+        k columns. Those columns' Q is the first k columns of the full
+        QR's Q (Mezzadri, Notices AMS 2007) up to rounding; k = n gives
+        the full QR's bits.
+        """
+        k = n if k is None else k
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot take {k} columns of an {n} x {n} matrix")
+        need = np.zeros((n, n), bool)
+        need[:, :k] = True
+        M = self._normals(n * n, need.ravel()).reshape(n, n)
+        Q, R = np.linalg.qr(M[:, :k])
         return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
 
@@ -170,9 +197,11 @@ def generate_two_subspace(
     cosines target_cf * (p - i) / p, so the largest principal-angle
     cosine is exactly target_cf (all angles 90 degrees when it is 0);
     leftover directions are mutually orthogonal. The whole frame is then
-    mapped through a seeded random orthogonal matrix and z is standard
-    normal. The subspaces keep the mapped frame's rows as drawn, which
-    are orthonormal already. The single-angle construction is avoided on
+    mapped through the first dim_u + dim_v columns of a seeded random
+    n x n orthogonal matrix: every normal of that matrix is drawn, but
+    libm and the QR see only those columns. z is standard normal. The
+    subspaces keep the mapped frame's rows as drawn, which are
+    orthonormal already. The single-angle construction is avoided on
     purpose: the circumcentered iteration terminates finitely on it,
     which leaves no tail to estimate a rate from.
     """
@@ -186,12 +215,12 @@ def generate_two_subspace(
         raise ValueError("target Friedrichs cosine must lie in [0, 1)")
 
     rng = Xorshift64Star(seed)
-    Q = rng.orthogonal(n)
+    Q = rng.orthogonal(n, dim_u + dim_v)
     p = min(dim_u, dim_v)
     c = target_cf * np.arange(p, 0, -1) / p
     s = np.sqrt(1.0 - c * c)
     e1, e2 = Q[:, 0 : 2 * p : 2].T, Q[:, 1 : 2 * p : 2].T
-    rest = Q[:, 2 * p : dim_u + dim_v].T
+    rest = Q[:, 2 * p :].T
     u_dirs = np.vstack([e1, rest[: dim_u - p]])
     v_dirs = np.vstack([c[:, None] * e1 + s[:, None] * e2, rest[dim_u - p :]])
 

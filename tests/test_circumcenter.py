@@ -20,7 +20,6 @@ from circumlib.circumcenter import (
     cramer_coefficients,
     cross3,
     dedup,
-    diameter,
     verify_equidistant,
 )
 
@@ -35,6 +34,12 @@ def random_independent(rng, m, n):
         pts = rng.normal(size=(m, n))
         if m == 1 or np.linalg.matrix_rank(pts[1:] - pts[0]) == m - 1:
             return pts
+
+
+def max_distance(pts):
+    """Largest distance between two points, from the full distance matrix."""
+    D = pts[:, None] - pts
+    return np.sqrt(np.einsum("ijk,ijk->ij", D, D)).max()
 
 
 def conditioned_independent(rng, m, n, min_rel_sv=0.05):
@@ -82,15 +87,21 @@ def test_dedup_respects_tol_and_order():
 
 @pytest.mark.parametrize("scale", [1, 7, 40, 1 << 20])
 def test_pairwise_distances_blocked_equal_one_shot(scale):
-    # diameter and dedup measure one row at a time; at every scale the
-    # numbers must be those of the full (m, m) distance matrix.
+    # dedup measures one row at a time; at every scale its distances
+    # must be those of the full (m, m) distance matrix, bit for bit, so a
+    # tolerance of exactly the closest distinct pair's distance drops
+    # the later point of that pair and the next float below keeps it.
     rng = np.random.default_rng(21)
     P = scale * rng.normal(size=(9, 5))
     P[4] = P[1]
     D = P[:, None] - P
     one_shot = np.sqrt(np.einsum("ijk,ijk->ij", D, D))
-    assert diameter(P) == one_shot.max()
+    near = np.unique(one_shot)[1]
+    later = np.argwhere(one_shot == near).max()
     assert np.array_equal(dedup(P), np.delete(P, 4, axis=0))
+    assert np.array_equal(dedup(P, tol=near), np.delete(P, [4, later], axis=0))
+    below = np.nextafter(near, 0.0)
+    assert np.array_equal(dedup(P, tol=below), np.delete(P, 4, axis=0))
 
 
 # --- circumcenter_gram ----------------------------------------------------
@@ -245,7 +256,7 @@ def test_near_uniqueness_in_hull():
         hull = affine_hull(pts)
         coeff = rng.normal(size=hull.dim)
         d = hull.onb.T @ (coeff / np.linalg.norm(coeff))
-        probe = out.center + 0.01 * diameter(pts) * d
+        probe = out.center + 0.01 * max_distance(pts) * d
         assert not verify_equidistant(probe, pts, 1e-8)
 
 
@@ -294,7 +305,7 @@ def test_invariant_under_rotation_translation_permutation(case):
     rng, pts = case
     n = pts.shape[1]
     base = circumcenter(pts)
-    tol = 1e-9 * diameter(pts)
+    tol = 1e-9 * max_distance(pts)
     R, _ = np.linalg.qr(rng.normal(size=(n, n)))
     t = rng.normal(size=n) * 10
     moved = circumcenter(pts @ R.T + t)
@@ -317,7 +328,7 @@ def test_translation_covariant_far_from_origin(case, k):
     t *= 10.0**k / np.linalg.norm(t)
     base = circumcenter(pts)
     center = None if base.is_empty else base.center + t
-    tol = 1e-9 * diameter(pts) + 1e3 * np.finfo(float).eps * 10.0**k
+    tol = 1e-9 * max_distance(pts) + 1e3 * np.finfo(float).eps * 10.0**k
     assert_same_outcome(circumcenter(pts + t), center, base.radius, tol)
 
 
@@ -349,7 +360,8 @@ def assert_scale_covariant(pts, lam):
     assert out.is_empty == base.is_empty
     if not base.is_empty:
         unscaled = CircumOutcome.exists(out.center / lam, out.radius / lam)
-        assert_same_outcome(unscaled, base.center, base.radius, 1e-9 * diameter(pts))
+        tol = 1e-9 * max_distance(pts)
+        assert_same_outcome(unscaled, base.center, base.radius, tol)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -401,10 +413,12 @@ def test_small_square_radius_is_accurate():
 
 
 def test_diameter_and_dedup_beyond_square_range():
-    assert diameter([[0, 0], [1e200, 0]]) == 1e200
-    assert diameter([[0, 0], [0, 3e-170]]) == 3e-170
+    # dedup's default tolerance is relative to the diameter, which it
+    # measures at working scale.
     got = dedup([[0, 0], [1e200, 0], [1e200, 0]])
     assert np.array_equal(got, [[0, 0], [1e200, 0]])
+    got = dedup([[0, 0], [0, 3e-170], [0, 3e-170]])
+    assert np.array_equal(got, [[0, 0], [0, 3e-170]])
 
 
 def test_verify_equidistant_beyond_square_range():

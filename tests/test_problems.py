@@ -1,5 +1,6 @@
 """Tests for the deterministic PRNG, problem generation, and file formats."""
 
+import itertools
 import json
 import math
 
@@ -58,9 +59,10 @@ def ref_normals(seed, k):
     return out[:k]
 
 
-def ref_orthogonal(normals, n):
-    """QR of the n x n matrix of the given normals, row by row, signs fixed."""
-    Q, R = np.linalg.qr(np.array(normals).reshape(n, n))
+def ref_orthogonal(normals, n, k=None):
+    """QR of the first k columns (all n when None) of the n x n matrix of
+    the given normals, row by row, signs fixed."""
+    Q, R = np.linalg.qr(np.array(normals).reshape(n, n)[:, :k])
     return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
 
@@ -179,6 +181,37 @@ def test_orthogonal_matches_reference():
         assert g.normal_vector(4).tolist() == ref[n * n :]
 
 
+def test_orthogonal_columns_match_the_full_frame():
+    # k columns take the full QR's first k columns up to rounding, and
+    # the stream and a pending spare move as they do for k = n.
+    for n, spare in itertools.product((5, 6, 7, 20, 21), (False, True)):
+        for k in range(n + 1):
+            full, part = Xorshift64Star(n), Xorshift64Star(n)
+            if spare:
+                assert full.normal() == part.normal()
+            Q = part.orthogonal(n, k)
+            assert Q.shape == (n, k)
+            assert np.abs(Q - full.orthogonal(n)[:, :k]).max(initial=0.0) <= 1e-14
+            assert np.array_equal(part.normal_vector(5), full.normal_vector(5))
+    with pytest.raises(ValueError):
+        Xorshift64Star(1).orthogonal(3, 4)
+
+
+def test_masked_normals_match_where_marked():
+    rng = np.random.default_rng(3)
+    for k, spare in itertools.product((0, 1, 2, 7, 40, 101), (False, True)):
+        need = rng.random(k) < rng.random()
+        full, part = Xorshift64Star(k), Xorshift64Star(k)
+        if spare:
+            assert full.normal() == part.normal()
+        want, got = full._normals(k), part._normals(k, need)
+        assert got.shape == (k,)
+        assert np.array_equal(got[need], want[need])
+        # every word is drawn and the spare kept, marked or not
+        assert part.normal() == full.normal()
+        assert part.next_u64() == full.next_u64()
+
+
 def test_orthogonal_matrix():
     g = Xorshift64Star(11)
     for n in (1, 2, 5, 12):
@@ -238,9 +271,9 @@ def test_generate_deterministic():
 
 
 def test_generate_matches_reference_construction():
-    for n, d, cf, seed in ((7, 3, 0.6, 5), (200, 50, 0.8, 7)):
+    for n, d, cf, seed in ((7, 3, 0.6, 5), (21, 8, 0.5, 3), (200, 50, 0.8, 7)):
         normals = ref_normals(seed, n * n + n)
-        Q = ref_orthogonal(normals[: n * n], n)
+        Q = ref_orthogonal(normals[: n * n], n, 2 * d)
         u_dirs = [Q[:, 2 * i] for i in range(d)]
         v_dirs = []
         for i in range(d):
