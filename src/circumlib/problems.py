@@ -2,14 +2,16 @@
 
 Random instances come from an explicitly specified xorshift64* stream,
 so the raw random words behind a seed are identical on every platform;
-nothing here depends on numpy's generator state. The stream is drawn in
-batches: a GF(2) jump matrix splits it into lanes that numpy steps
-together, and the normals take log, cos and sin from math, so a batch
-equals the scalar draws bit for bit. The normals go through libm and the
-random frame through LAPACK's QR, so a generated instance is
-bit-identical on one installation, not across platforms. A frame of k
-columns draws every normal of its n x n matrix, so the stream moves as
-for the full matrix, but libm and the QR see only those k columns.
+nothing here depends on numpy's generator state. The generator keeps
+no state but its position in the stream: a draw of k normals reads the
+next 2 * ceil(k / 2) words, one Box-Muller pair per two words, and an
+odd k drops its last sin. Each row of a random n x n frame is one such
+draw, so every row starts on a pair; a frame of k columns reads every
+word of its n rows, but Box-Muller and the QR see only each row's first
+k columns. Words are drawn in batches that a GF(2) jump matrix splits
+into lanes; the normals go through libm and the frame through LAPACK's
+QR, so a generated instance is bit-identical on one installation, not
+across platforms.
 
 Files are JSON indented by two spaces, with each vector on one line and
 floats written in shortest round-trip decimal form, which preserves
@@ -44,16 +46,17 @@ class ParseError(ValueError):
     """A points or problem file failed to parse or validate."""
 
 
-def _step(x: int) -> int:
-    """One xorshift64 state transition (all mod 2^64)."""
-    x ^= x >> 12
-    x = (x ^ (x << 25)) & _MASK64
-    return x ^ (x >> 27)
+def _advance(x: np.ndarray) -> np.ndarray:
+    """One xorshift64 state transition of each uint64 word, in place."""
+    x ^= x >> np.uint64(12)
+    x ^= x << np.uint64(25)
+    x ^= x >> np.uint64(27)
+    return x
 
 
 # The transition is linear over GF(2): a 64x64 bit matrix, stored as the
 # images of the 64 unit words (its columns).
-_STEP_COLUMNS = np.array([_step(1 << i) for i in range(64)], dtype=np.uint64)
+_STEP_COLUMNS = _advance(np.uint64(1) << np.arange(64, dtype=np.uint64))
 
 
 def _gf2_apply(columns: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -78,23 +81,38 @@ def _jump(steps: int) -> np.ndarray:
     return result
 
 
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Box-Muller normals of an even number of words, cos then sin per pair.
+
+    The first word of a pair gives the radius, through 1 - u in (0, 1]
+    so that log stays finite, and the second the angle. log, cos and sin
+    go through math, one call per value, because numpy's vectorized
+    kernels may differ from libm in the last bit and choose their code
+    path from the CPU at run time.
+    """
+    u = (words >> np.uint64(11)) * 2.0**-53
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float))
+    angle = (2.0 * math.pi * u[1::2]).tolist()
+    z = np.empty((r.size, 2))
+    z[:, 0] = r * np.fromiter(map(math.cos, angle), float)
+    z[:, 1] = r * np.fromiter(map(math.sin, angle), float)
+    return z.ravel()
+
+
 class Xorshift64Star:
     """Deterministic 64-bit xorshift* generator.
 
     next_u64: x ^= x >> 12; x ^= x << 25; x ^= x >> 27 (all mod 2^64),
     output (x * 0x2545F4914F6CDD1D) mod 2^64. uniform() maps the top 53
-    bits to [0, 1); normals come from the Box-Muller transform, cos
-    first, sin kept as a spare for the next draw.
+    bits to [0, 1).
 
-    next_u64 and uniform are the scalar reference. normal, normal_vector
-    and orthogonal draw in batches with the same results bit for bit:
-    the transition is linear over GF(2), so a jump matrix splits the
-    next k states into about sqrt(k) lanes that numpy uint64 arithmetic
-    steps together, exactly. log, cos and sin go through math, one call
-    per value, because numpy's vectorized kernels may differ from libm
-    in the last bit and choose their code path from the CPU at run time.
-    orthogonal(n, k) draws all n * n normals but takes log, cos and sin
-    and the QR only for the first k columns.
+    The generator keeps no state but its position in the stream, so a
+    draw depends only on where it starts. A draw of k normals reads the
+    next 2 * ceil(k / 2) words and maps each pair through Box-Muller,
+    cos then sin; an odd k drops its last sin. Words are drawn in
+    batches: the transition is linear over GF(2), so a jump matrix
+    splits the next k states into about sqrt(k) lanes that numpy uint64
+    arithmetic steps together, exactly.
     """
 
     def __init__(self, seed: int):
@@ -103,17 +121,15 @@ class Xorshift64Star:
         s = ((s ^ (s >> 27)) * _SPLITMIX_MULT2) & _MASK64
         s ^= s >> 31
         self._state = s if s != 0 else _SPLITMIX_GAMMA
-        self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
-        self._state = _step(self._state)
-        return (self._state * _XORSHIFT_MULT) & _MASK64
+        return int(self._words(1)[0])
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def _words(self, k: int) -> np.ndarray:
-        """The next k outputs of next_u64 as a uint64 array, in order."""
+        """The next k output words of the stream as a uint64 array, in order."""
         if k == 0:
             return np.empty(0, dtype=np.uint64)
         lanes = 1 << ((k - 1).bit_length() // 2)
@@ -127,40 +143,14 @@ class Xorshift64Star:
                 jump = _gf2_apply(jump, jump)
         states = np.empty((steps, lanes), dtype=np.uint64)
         for row in states:
-            x ^= x >> 12
-            x ^= x << 25
-            x ^= x >> 27
-            row[:] = x
+            row[:] = _advance(x)
         states = states.T.ravel()[:k]
         self._state = int(states[-1])
         return states * np.uint64(_XORSHIFT_MULT)
 
-    def _normals(self, k: int, need: np.ndarray | None = None) -> np.ndarray:
-        """The next k normals, as k calls of the scalar Box-Muller draw give.
-
-        need, a boolean mask of length k (all True when None), marks the
-        normals the caller reads. Every word is drawn, so the stream and
-        the spare move as they do without a mask, but a Box-Muller pair
-        takes its log, cos and sin only when it holds a marked normal or
-        the spare; an unmarked normal of a skipped pair is NaN.
-        """
-        need = np.ones(k, bool) if need is None else need
-        head = []
-        if k and self._spare_normal is not None:
-            head, self._spare_normal = [self._spare_normal], None
-            k, need = k - 1, need[1:]
-        u = (self._words(2 * ((k + 1) // 2)) >> np.uint64(11)) * 2.0**-53
-        live = np.append(need, True)[: u.size].reshape(-1, 2).any(axis=1)
-        u1 = 1.0 - u[0::2][live]  # in (0, 1], keeps log finite
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float))
-        angle = (2.0 * math.pi * u[1::2][live]).tolist()
-        z = np.full((live.size, 2), np.nan)
-        z[live, 0] = r * np.fromiter(map(math.cos, angle), float)
-        z[live, 1] = r * np.fromiter(map(math.sin, angle), float)
-        z = z.ravel()
-        if k % 2:
-            self._spare_normal, z = float(z[-1]), z[:-1]
-        return np.concatenate([head, z])
+    def _normals(self, k: int) -> np.ndarray:
+        """The next k normals, from the next 2 * ceil(k / 2) words."""
+        return _box_muller(self._words(k + k % 2))[:k]
 
     def normal(self) -> float:
         return float(self._normals(1)[0])
@@ -172,18 +162,19 @@ class Xorshift64Star:
         """The first k columns (all n when k is None) of a random n x n
         orthogonal matrix: the QR of an n x n normal matrix, signs fixed.
 
-        Every normal of the matrix is drawn, so the stream moves as for
-        k = n, but Box-Muller's libm calls and the QR see only the first
-        k columns. Those columns' Q is the first k columns of the full
-        QR's Q (Mezzadri, Notices AMS 2007) up to rounding; k = n gives
-        the full QR's bits.
+        Each row of the matrix is a draw of n normals, so it reads
+        2 * ceil(n / 2) words and starts on a Box-Muller pair. Every row
+        is read whole, so the stream moves as for k = n, but Box-Muller
+        and the QR see only the first 2 * ceil(k / 2) words and the
+        first k columns. Those columns' Q is the first k columns of the
+        full QR's Q (Mezzadri, Notices AMS 2007) up to rounding; k = n
+        gives the full QR's bits.
         """
         k = n if k is None else k
         if not 0 <= k <= n:
             raise ValueError(f"cannot take {k} columns of an {n} x {n} matrix")
-        need = np.zeros((n, n), bool)
-        need[:, :k] = True
-        M = self._normals(n * n, need.ravel()).reshape(n, n)
+        words = self._words(n * (n + n % 2)).reshape(n, n + n % 2)
+        M = _box_muller(words[:, : k + k % 2].ravel()).reshape(n, k + k % 2)
         Q, R = np.linalg.qr(M[:, :k])
         return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
@@ -198,9 +189,10 @@ def generate_two_subspace(
     cosine is exactly target_cf (all angles 90 degrees when it is 0);
     leftover directions are mutually orthogonal. The whole frame is then
     mapped through the first dim_u + dim_v columns of a seeded random
-    n x n orthogonal matrix: every normal of that matrix is drawn, but
-    libm and the QR see only those columns. z is standard normal. The
-    subspaces keep the mapped frame's rows as drawn, which are
+    n x n orthogonal matrix: every word of that matrix's rows is drawn,
+    but Box-Muller and the QR see only those columns. z is the next
+    draw of n standard normals. The subspaces keep the mapped frame's
+    rows as drawn, which are
     orthonormal already. The single-angle construction is avoided on
     purpose: the circumcentered iteration terminates finitely on it,
     which leaves no tail to estimate a rate from.

@@ -22,6 +22,7 @@ from circumlib.circumcenter import (
     dedup,
     verify_equidistant,
 )
+from circumlib.linalg import DimensionMismatch, as_points, solve_spd
 
 # The package re-exports the circumcenter function under the module's
 # name, so the module itself is fetched by its dotted path.
@@ -65,6 +66,44 @@ def test_config_rejects_nan_tolerance(field):
     for value in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="positive"):
             CircumConfig(**{field: value})
+
+
+# --- input edges ----------------------------------------------------------
+
+# (id, call, the error it raises or None, its message); a call with no
+# error returns an empty vector.
+EDGE_INPUTS = [
+    ("hull-empty", lambda: affine_hull([]), ValueError, "empty point set"),
+    ("gram-empty", lambda: circumcenter_gram([]), ValueError, "empty tuple"),
+    ("verify-empty", lambda: verify_equidistant([0, 0], [], 1e-8), ValueError, "no points"),
+    (
+        "verify-lengths",
+        lambda: verify_equidistant([0, 0, 0], [[1, 0], [0, 1]], 1e-8),
+        DimensionMismatch,
+        "point has length 3, set has length 2",
+    ),
+    ("circumcenter-empty", lambda: circumcenter([]), ValueError, "empty point set"),
+    ("cramer-one", lambda: cramer_coefficients([[0, 0]]), ValueError, "at least two"),
+    (
+        "cramer-base",
+        lambda: cramer_coefficients([[0, 0], [1, 0]], base_index=2),
+        ValueError,
+        "base_index 2 out of range for 2 points",
+    ),
+    ("points-flat", lambda: as_points([1.0, 2.0]), ValueError, "1-D vectors"),
+    ("solve-size-0", lambda: solve_spd(np.zeros((0, 0)), []), None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, match", [c[1:] for c in EDGE_INPUTS], ids=[c[0] for c in EDGE_INPUTS]
+)
+def test_edge_inputs(call, error, match):
+    if error is None:
+        assert np.array_equal(call(), np.zeros(0))
+    else:
+        with pytest.raises(error, match=match):
+            call()
 
 
 # --- dedup ----------------------------------------------------------------
@@ -419,6 +458,10 @@ def test_diameter_and_dedup_beyond_square_range():
     assert np.array_equal(got, [[0, 0], [1e200, 0]])
     got = dedup([[0, 0], [0, 3e-170], [0, 3e-170]])
     assert np.array_equal(got, [[0, 0], [0, 3e-170]])
+    # An explicit tol is taken to the same working scale.
+    P = [[0, 0], [1e200, 0], [1e200, 1e190]]
+    assert np.array_equal(dedup(P, tol=2e190), P[:2])
+    assert np.array_equal(dedup(P, tol=5e189), P)
 
 
 def test_verify_equidistant_beyond_square_range():
@@ -624,7 +667,11 @@ def test_reflection_triple_matches_circumcenter(monkeypatch, k):
     monkeypatch.setattr(cc_mod, "_exponent", counted)
     rng = np.random.default_rng(1007 + k)
     lam = 10.0**k
-    cases = three_point_cases(rng)
+    # x = 0, u = e1, v = (1e7 - 1) e1 + 1e-6 e2: the row r left of v is
+    # below the threshold and |u|^2 is ill-posed against |u + v|^2.
+    ill = np.array([[0.0, 0.0], [2.0, 0.0], [2e7, 2e-6]])
+    assert reflection_triple(ill) is None and circumcenter(ill).is_empty
+    cases = [*three_point_cases(rng), ("ill-posed u", ill, None)]
     rescaled = 0
     for label, pts, sin in cases:
         for shift in (0.0, 1e3, 1e8):

@@ -1,6 +1,5 @@
 """Tests for the deterministic PRNG, problem generation, and file formats."""
 
-import itertools
 import json
 import math
 
@@ -47,22 +46,28 @@ def ref_stream(seed, k):
     return out
 
 
-def ref_normals(seed, k):
-    """Straight transcription of Box-Muller on ref_stream: cos, then sin."""
-    words = ref_stream(seed, 2 * ((k + 1) // 2))
-    out = []
-    for w1, w2 in zip(words[0::2], words[1::2]):
-        u1 = 1.0 - (w1 >> 11) * 2.0**-53
-        u2 = (w2 >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
-    return out[:k]
+def ref_draws(seed, sizes):
+    """Straight transcription of Box-Muller on ref_stream, one draw of k
+    normals per size k: each draw reads the next 2 * ceil(k / 2) words,
+    a pair gives cos, then sin, and an odd k drops its last sin."""
+    words = iter(ref_stream(seed, sum(k + k % 2 for k in sizes)))
+    draws = []
+    for k in sizes:
+        out = []
+        for _ in range((k + 1) // 2):
+            u1 = 1.0 - (next(words) >> 11) * 2.0**-53
+            u2 = (next(words) >> 11) * 2.0**-53
+            r = math.sqrt(-2.0 * math.log(u1))
+            out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+        draws.append(out[:k])
+    return draws
 
 
-def ref_orthogonal(normals, n, k=None):
-    """QR of the first k columns (all n when None) of the n x n matrix of
-    the given normals, row by row, signs fixed."""
-    Q, R = np.linalg.qr(np.array(normals).reshape(n, n)[:, :k])
+def ref_orthogonal(rows, k=None):
+    """QR of the first k columns (all when None) of the matrix with the
+    given rows, signs fixed. The rows of an n x n frame are n draws of
+    n normals, so each reads 2 * ceil(n / 2) words."""
+    Q, R = np.linalg.qr(np.array(rows)[:, :k])
     return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
 
@@ -115,15 +120,17 @@ def test_uniform_mean():
 
 
 def test_normal_frozen_values():
+    # each normal() is the cos of its own pair
     g = Xorshift64Star(7)
     got = [g.normal() for _ in range(4)]
     want = [
         -0.021430159234816677,
-        0.4123289285127715,
         -0.8828865059932086,
-        -0.30770879865488504,
+        -1.154285610841311,
+        -0.7465239564927503,
     ]
     assert got == want
+    assert want == [d[0] for d in ref_draws(7, [1] * 4)]
 
 
 def test_normal_pairs_consume_two_words():
@@ -131,7 +138,7 @@ def test_normal_pairs_consume_two_words():
     g.normal()
     g.normal()
     rest = g.next_u64()
-    assert rest == ref_stream(9, 3)[2]
+    assert rest == ref_stream(9, 5)[4]
 
 
 def test_normal_moments():
@@ -155,7 +162,8 @@ def test_batch_words_match_reference():
 
 
 def test_normal_vector_matches_reference():
-    # odd sizes leave a spare normal that the next draw must use first
+    # an odd size drops its last sin and leaves nothing pending: the
+    # next draw starts on the next pair
     sizes = (3, 4, 1, 0, 6, 5, 1000, 1, 2, 7)
     for seed in (0, 7, 2**63):
         g = Xorshift64Star(seed)
@@ -163,53 +171,34 @@ def test_normal_vector_matches_reference():
         for k in sizes:
             v = g.normal_vector(k)
             assert v.shape == (k,) and v.dtype == np.float64
-            got += v.tolist()
-        got.append(g.normal())
-        total = sum(sizes) + 1
-        assert got == ref_normals(seed, total)
-        # an even count leaves no spare, so no word was drawn ahead
-        assert total % 2 == 0
-        assert g.next_u64() == ref_stream(seed, total + 1)[total]
+            got.append(v.tolist())
+        got.append([g.normal()])
+        assert got == ref_draws(seed, [*sizes, 1])
+        words = sum(k + k % 2 for k in sizes) + 2
+        assert g.next_u64() == ref_stream(seed, words + 1)[words]
 
 
 def test_orthogonal_matches_reference():
     for n in (1, 3, 5, 12):
         g = Xorshift64Star(13)
-        ref = ref_normals(13, n * n + 4)
-        assert np.array_equal(g.orthogonal(n), ref_orthogonal(ref[: n * n], n))
-        # an odd n * n carries a spare into the next vector
-        assert g.normal_vector(4).tolist() == ref[n * n :]
+        draws = ref_draws(13, [n] * n + [4])
+        assert np.array_equal(g.orthogonal(n), ref_orthogonal(draws[:n]))
+        # an odd n reads a whole pair at the end of each row
+        assert g.normal_vector(4).tolist() == draws[n]
 
 
 def test_orthogonal_columns_match_the_full_frame():
     # k columns take the full QR's first k columns up to rounding, and
-    # the stream and a pending spare move as they do for k = n.
-    for n, spare in itertools.product((5, 6, 7, 20, 21), (False, True)):
+    # the stream moves as it does for k = n.
+    for n in (5, 6, 7, 20, 21):
         for k in range(n + 1):
             full, part = Xorshift64Star(n), Xorshift64Star(n)
-            if spare:
-                assert full.normal() == part.normal()
             Q = part.orthogonal(n, k)
             assert Q.shape == (n, k)
             assert np.abs(Q - full.orthogonal(n)[:, :k]).max(initial=0.0) <= 1e-14
-            assert np.array_equal(part.normal_vector(5), full.normal_vector(5))
+            assert part.next_u64() == full.next_u64()
     with pytest.raises(ValueError):
         Xorshift64Star(1).orthogonal(3, 4)
-
-
-def test_masked_normals_match_where_marked():
-    rng = np.random.default_rng(3)
-    for k, spare in itertools.product((0, 1, 2, 7, 40, 101), (False, True)):
-        need = rng.random(k) < rng.random()
-        full, part = Xorshift64Star(k), Xorshift64Star(k)
-        if spare:
-            assert full.normal() == part.normal()
-        want, got = full._normals(k), part._normals(k, need)
-        assert got.shape == (k,)
-        assert np.array_equal(got[need], want[need])
-        # every word is drawn and the spare kept, marked or not
-        assert part.normal() == full.normal()
-        assert part.next_u64() == full.next_u64()
 
 
 def test_orthogonal_matrix():
@@ -272,8 +261,8 @@ def test_generate_deterministic():
 
 def test_generate_matches_reference_construction():
     for n, d, cf, seed in ((7, 3, 0.6, 5), (21, 8, 0.5, 3), (200, 50, 0.8, 7)):
-        normals = ref_normals(seed, n * n + n)
-        Q = ref_orthogonal(normals[: n * n], n, 2 * d)
+        draws = ref_draws(seed, [n] * (n + 1))
+        Q = ref_orthogonal(draws[:n], 2 * d)
         u_dirs = [Q[:, 2 * i] for i in range(d)]
         v_dirs = []
         for i in range(d):
@@ -283,7 +272,7 @@ def test_generate_matches_reference_construction():
         zero = np.zeros(n)
         want = Problem(
             [AffineSubspace(zero, u_dirs), AffineSubspace(zero, v_dirs)],
-            np.array(normals[n * n :]),
+            np.array(draws[n]),
         )
         got = generate_two_subspace(n, d, d, cf, seed)
         assert np.array_equal(got.z, want.z)

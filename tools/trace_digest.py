@@ -7,7 +7,8 @@ the same script hashes any checkout:
     PYTHONPATH=src python tools/trace_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/trace_digest.py
 
-The first line is one digest over, in a fixed order:
+The first line, `two-subspace <sha>`, is one digest over, in a fixed
+order:
 
 - the `run` trace (reason, iterates, shadows, dists, residuals and step
   norms) of every method, initializer and sol_tol in {None, 1e-8} on
@@ -179,7 +180,7 @@ def main() -> None:
     h = hashlib.sha256()
     feed_traces(h)
     feed_generated(h)
-    print(h.hexdigest())
+    print(f"two-subspace {h.hexdigest()}")
     h = hashlib.sha256()
     feed_circumcenters(h)
     print(f"circumcenter {h.hexdigest()}")
