@@ -41,6 +41,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_PIVOT_TOL,
     DEFAULT_RANK_TOL,
+    DEFAULT_VERIFY_TOL,
     DimensionMismatch,
     _HUGE,
     _TINY,
@@ -64,27 +65,6 @@ class NotAffinelyIndependent(ValueError):
 
 class NotThreeDimensional(ValueError):
     """Cross-product routines require ambient dimension exactly 3."""
-
-
-@dataclass(frozen=True)
-class CircumConfig:
-    """Tolerances for the total circumcenter routine.
-
-    rank_tol decides which points coincide and which differences
-    p_i - p_1 are independent: a difference is kept when its residual
-    against the earlier ones exceeds rank_tol times the largest
-    difference. verify_tol bounds the final equidistance check: the
-    spread of the distances to the center must be at most verify_tol
-    times the largest distance. Both also allow the rounding noise of
-    the points, 64 eps * max_i |p_i|.
-    """
-
-    rank_tol: float = DEFAULT_RANK_TOL
-    verify_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.rank_tol > 0 and self.verify_tol > 0):
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -193,7 +173,7 @@ def _ill_posed(pivot: float, top: float) -> bool:
     return pivot <= DEFAULT_PIVOT_TOL * top
 
 
-def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
+def _three(P: np.ndarray, noise: float) -> np.ndarray | None:
     """The sweep's center of three points in one pass; None for Empty.
 
     Three affinely independent points x, y, z have the circumcenter
@@ -220,7 +200,7 @@ def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     (aa, ab), (_, bb) = (D @ D.T).tolist()
     top = max(aa, bb)
     a, b = D[0], D[1]
-    threshold = max(tol * math.sqrt(top), noise)
+    threshold = max(DEFAULT_RANK_TOL * math.sqrt(top), noise)
     if math.sqrt(aa) > threshold:
         k = ab / aa
         r = b - k * a
@@ -236,21 +216,21 @@ def _three(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
     return x.copy()
 
 
-def _sweep(P: np.ndarray, tol: float, noise: float) -> np.ndarray | None:
+def _sweep(P: np.ndarray, noise: float) -> np.ndarray | None:
     """The center of any number of points by one Gram-Schmidt sweep;
     None for Empty.
 
     A duplicate's difference, like a dependent one, leaves a residual
-    within tol of the largest difference, or within the noise, so this
-    one sweep also dedups.
+    within DEFAULT_RANK_TOL of the largest difference, or within the
+    noise, so this one sweep also dedups.
     """
-    _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], tol, noise)
+    _, Q, rho, y, top = _gram_schmidt(P[1:] - P[0], DEFAULT_RANK_TOL, noise)
     if _ill_posed(rho.min(initial=math.inf) ** 2, top):
         return None
     return P[0] + y @ Q
 
 
-def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
+def _circumcenter(P: np.ndarray) -> CircumOutcome:
     """circumcenter() of a nonempty (m, n) array at its working scale;
     non-finite entries (from overflowing reflections) give Empty."""
     P, e, sq, top = _scaled(P)
@@ -258,14 +238,11 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
     if not sum(sq) < math.inf:
         return CircumOutcome.empty()
     noise = _NOISE * math.sqrt(top)
-    if len(P) == 3:
-        center = _three(P, cfg.rank_tol, noise)
-    else:
-        center = _sweep(P, cfg.rank_tol, noise)
+    center = _three(P, noise) if len(P) == 3 else _sweep(P, noise)
     if center is None:
         return CircumOutcome.empty()
     d = _distances(P, center)
-    if not _equidistant(d, cfg.verify_tol, noise):
+    if not _equidistant(d, DEFAULT_VERIFY_TOL, noise):
         return CircumOutcome.empty()
     radius = sum(d) / len(d)
     if e:
@@ -274,8 +251,7 @@ def _circumcenter(P: np.ndarray, cfg: CircumConfig = CircumConfig()) -> CircumOu
 
 
 def _reflection_triple(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """The center of x, x + 2u and x + 2u + 2v at the default
-    CircumConfig; None for Empty.
+    """The center of x, x + 2u and x + 2u + 2v; None for Empty.
 
     With u = P_U x - x, y = R_U x and v = P_V y - y, these are the
     reflection points of a two-set circumcentered step, with differences
@@ -287,8 +263,10 @@ def _reflection_triple(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     each length and threshold exactly: the keep thresholds, on |u| and
     on r taken as a vector, not from the cancelling form
     |b|^2 - k <a, b>; the pivot test; the midpoint and x branches; and
-    verification of c - x, c - x - 2u and c - x - 2u - 2v at verify_tol,
-    with the noise _NOISE times the largest point norm.
+    verification of c - x, c - x - 2u and c - x - 2u - 2v at
+    DEFAULT_VERIFY_TOL, with the noise _NOISE times the largest point
+    norm. Its tolerances are circumcenter's, so both decide Exists or
+    Empty by the same numbers.
 
     Rows whose largest squared point norm leaves [_TINY, _HUGE], or
     whose products overflow to a NaN, are taken at their working scale
@@ -315,7 +293,7 @@ def _reflection_triple(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     ab, bc = uu + uv, uv + vv
     bb = ab + bc
     gram_top = max(uu, bb)
-    threshold = max(CircumConfig.rank_tol * math.sqrt(gram_top), 0.5 * noise)
+    threshold = max(DEFAULT_RANK_TOL * math.sqrt(gram_top), 0.5 * noise)
     if math.sqrt(uu) > threshold:
         k = ab / uu
         r = (1.0 - k) * u + v
@@ -339,12 +317,12 @@ def _reflection_triple(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     C = np.array(((alpha, beta), (alpha - 2.0, beta), (alpha - 2.0, beta - 2.0)))
     E = np.dot(C, W[1:])
     d = [math.sqrt(s) for s in np.einsum("ij,ij->i", E, E).tolist()]
-    if not _equidistant(d, CircumConfig.verify_tol, noise):
+    if not _equidistant(d, DEFAULT_VERIFY_TOL, noise):
         return None
     return center
 
 
-def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
+def circumcenter(points) -> CircumOutcome:
     """Total circumcenter: Exists(center, radius) or Empty, never an error.
 
     One Gram-Schmidt sweep over the differences to the first point, in
@@ -354,20 +332,21 @@ def circumcenter(points, cfg: CircumConfig = CircumConfig()) -> CircumOutcome:
     dependent one. Three points take the same decisions and the same
     forward substitution in one pass of scalar arithmetic (see _three).
     The candidate is then verified against every point. Both decisions
-    are relative to the set, up to the rounding noise of its points (see
-    CircumConfig), and taken at its working scale (see linalg), so the
-    outcome is covariant under scaling, over the whole float range, and
-    translation. Any degeneracy yields Empty.
+    are relative to the set, up to the rounding noise of its points, at
+    the fixed tolerances DEFAULT_RANK_TOL and DEFAULT_VERIFY_TOL (see
+    linalg), and taken at its working scale, so the outcome is covariant
+    under scaling, over the whole float range, and translation. Any
+    degeneracy yields Empty.
     """
     P = as_points(points)
     if not len(P):
         raise ValueError("circumcenter of an empty point set")
-    return _circumcenter(P, cfg)
+    return _circumcenter(P)
 
 
-def circumradius(points, cfg: CircumConfig = CircumConfig()) -> float:
+def circumradius(points) -> float:
     """Common distance to the points, +inf when the circumcenter is Empty."""
-    return circumcenter(points, cfg).radius
+    return circumcenter(points).radius
 
 
 def cross3(u, v) -> np.ndarray:

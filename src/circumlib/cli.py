@@ -20,7 +20,7 @@ import sys
 from contextlib import nullcontext
 
 from .affine import friedrichs_cos
-from .circumcenter import CircumConfig, circumcenter
+from .circumcenter import circumcenter
 from .solvers import (
     InsufficientData,
     Initializer,
@@ -79,8 +79,7 @@ def _print_progress(problem: Problem, trace: SolverTrace):
 
 def _cmd_cc(args) -> int:
     points = load_points(args.points_file)
-    cfg = CircumConfig(rank_tol=args.rank_tol, verify_tol=args.tol)
-    out = circumcenter(points, cfg)
+    out = circumcenter(points)
     if out.is_empty:
         print("EMPTY")
     else:
@@ -179,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cc = sub.add_parser("cc", help="circumcenter of a point-set file")
     p_cc.add_argument("points_file")
-    p_cc.add_argument(
-        "--tol", type=float, default=CircumConfig.verify_tol,
-        help="equidistance verification tolerance",
-    )
-    p_cc.add_argument(
-        "--rank-tol", type=float, default=CircumConfig.rank_tol,
-        help="affine-independence tolerance",
-    )
     p_cc.set_defaults(fn=_cmd_cc)
 
     p_solve = sub.add_parser("solve", help="run one method on a problem file")

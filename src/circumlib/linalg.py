@@ -12,10 +12,12 @@ residual exceeds DEFAULT_RANK_TOL times the largest input norm. A
 decision on a point set p_1..p_m is relative to the set itself, so it is
 also invariant under translation: which points coincide and which
 differences p_i - p_1 are independent is decided against
-CircumConfig.rank_tol times the largest difference, whether a candidate
-center is equidistant against its verify_tol times the largest distance,
-and whether a circumcenter's system is well conditioned by its squared
-pivots against DEFAULT_PIVOT_TOL times the largest squared difference.
+DEFAULT_RANK_TOL times the largest difference, whether a candidate
+center is equidistant against DEFAULT_VERIFY_TOL times the largest
+distance, and whether a circumcenter's system is well conditioned by its
+squared pivots against DEFAULT_PIVOT_TOL times the largest squared
+difference. All three are constants, so `circumcenter`, `circumradius`
+and the two-set solver step decide Exists or Empty by the same numbers.
 The coincidence and equidistance tests also allow the rounding noise of
 the points, a few dozen eps times max_i |p_i|: points far from the
 origin cannot be told apart more finely, and the reflections of a point
@@ -41,6 +43,7 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PIVOT_TOL = 1e-12
+DEFAULT_VERIFY_TOL = 1e-8
 
 
 class DimensionMismatch(ValueError):

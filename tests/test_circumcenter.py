@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from circumlib.affine import affine_hull, distance_to
 from circumlib.circumcenter import (
-    CircumConfig,
     CircumOutcome,
     NotAffinelyIndependent,
     NotThreeDimensional,
@@ -22,7 +21,7 @@ from circumlib.circumcenter import (
     dedup,
     verify_equidistant,
 )
-from circumlib.linalg import DimensionMismatch, as_points, solve_spd
+from circumlib.linalg import DEFAULT_RANK_TOL, DimensionMismatch, as_points, solve_spd
 
 # The package re-exports the circumcenter function under the module's
 # name, so the module itself is fetched by its dotted path.
@@ -55,17 +54,6 @@ def conditioned_independent(rng, m, n, min_rel_sv=0.05):
         s = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
         if s[-1] >= min_rel_sv * s[0]:
             return pts
-
-
-# --- CircumConfig ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("field", ["rank_tol", "verify_tol"])
-def test_config_rejects_nan_tolerance(field):
-    # NaN passes a test of x <= 0.
-    for value in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="positive"):
-            CircumConfig(**{field: value})
 
 
 # --- input edges ----------------------------------------------------------
@@ -583,7 +571,7 @@ def three_point_cases(rng):
             d = rng.normal(size=n)
             t[j] = t[i] + 1e-13 * np.linalg.norm(t[i]) * d / np.linalg.norm(d)
             cases.append((f"near-dup {i}{j}", t, None))
-        # Near-collinear on both sides of rank_tol = 1e-10, and
+        # Near-collinear on both sides of DEFAULT_RANK_TOL = 1e-10, and
         # ill-posed on both sides of DEFAULT_PIVOT_TOL = 1e-12 (pivot
         # sin^2 |b|^2 against max(|a|, |b|)^2).
         for sin in (1e-11, 1e-9, 5e-7, 2e-6, 1e-4):
@@ -688,6 +676,27 @@ def test_reflection_triple_matches_circumcenter(monkeypatch, k):
                 err = np.linalg.norm(got - ref.center)
                 assert err <= three_tol(sin) * scale, f"{label}, shift {shift:g}"
     assert rescaled == (3 * len(cases) if k == 150 else 0)
+
+
+def test_both_kernels_read_one_set_of_tolerances(monkeypatch):
+    # circumcenter() and the two-set step's kernel read the same module
+    # constants, so a change to either tolerance flips both outcomes.
+    def outcomes(pts):
+        pts = np.array(pts, dtype=float)
+        return circumcenter(pts).is_empty, reflection_triple(pts) is None
+
+    near = [[0, 0], [2, 0], [1, 1e-3]]
+    collinear = [[0, 0], [1, 0], [3, 0]]
+    assert outcomes(near) == (False, False)
+    assert outcomes(collinear) == (True, True)
+    with monkeypatch.context() as m:
+        # The residual 1e-3 of the third point falls below 1e-2 * |a|.
+        m.setattr(cc_mod, "DEFAULT_RANK_TOL", 1e-2)
+        assert outcomes(near) == (True, True)
+    # The midpoint of the first two points is within 1.0 of every
+    # distance: spread 2 against a largest distance of 2.5.
+    monkeypatch.setattr(cc_mod, "DEFAULT_VERIFY_TOL", 1.0)
+    assert outcomes(collinear) == (False, False)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -827,9 +836,8 @@ def test_verify_equidistant_rejects_overflowing_distance():
 def general_path_triples(rng, n):
     """Triples of every kind the m = 3 path decides, in R^n: generic,
     duplicated, collinear, near-collinear (sine 1e-9 to 1e-2) and
-    near-duplicate (a copy moved by 0.5 or 2 rank_tol of the largest
-    difference)."""
-    rank_tol = CircumConfig.rank_tol
+    near-duplicate (a copy moved by 0.5 or 2 DEFAULT_RANK_TOL of the
+    largest difference)."""
     x, y, z = rng.normal(size=(3, n))
     a = y - x
     triples = [[x, y, z], [x, x, z], [x, y, x], [x, y, y], [x, x, x]]
@@ -838,7 +846,7 @@ def general_path_triples(rng, n):
         triples.append(sine_triple(rng, n, sin, 1.0, rng.uniform(0.5, 2.0)))
     for f in (0.5, 2.0):
         d = rng.normal(size=n)
-        d *= f * rank_tol / np.linalg.norm(d)
+        d *= f * DEFAULT_RANK_TOL / np.linalg.norm(d)
         triples.append([x, y, y + np.linalg.norm(a) * d])
         triples.append([x, x + np.linalg.norm(z - x) * d, z])
     return [np.array(t) for t in triples]

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circumlib import CircumConfig, SolverConfig, circumcenter
+from circumlib import SolverConfig, circumcenter
 from circumlib.cli import CSV_COLUMNS, _solver_config, build_parser, main
 
 cli_mod = importlib.import_module("circumlib.cli")
@@ -96,18 +96,9 @@ def test_cc_collinear_empty(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "EMPTY"
 
 
-def test_cc_tolerance_flags(tmp_path, capsys):
-    path = tmp_path / "col.json"
-    write_points(path, [[0, 0], [1, 0], [2, 1e-14]])
-    assert main(["cc", str(path), "--rank-tol", "1e-6", "--tol", "1e-6"]) == 0
-    assert capsys.readouterr().out.strip() == "EMPTY"
-
-
 def test_flag_defaults_are_the_config_defaults():
-    # The flags take their defaults from the configs, so an edit cannot fork them.
+    # The flags take their defaults from the config, so an edit cannot fork them.
     parser = build_parser()
-    cc = parser.parse_args(["cc", "f"])
-    assert CircumConfig(rank_tol=cc.rank_tol, verify_tol=cc.tol) == CircumConfig()
     for argv in (["solve", "f", "--method", "cdrm"], ["bench", "f"]):
         assert _solver_config(parser.parse_args(argv)) == SolverConfig()
 
@@ -115,18 +106,15 @@ def test_flag_defaults_are_the_config_defaults():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["cc", "tri.json", "--rank-tol", "nan"], "tolerances must be positive"),
-        (["cc", "tri.json", "--tol", "nan"], "tolerances must be positive"),
         (
             ["solve", "p.json", "--method", "cdrm", "--step-tol", "nan"],
             "step_tol must be positive",
         ),
     ],
-    ids=["cc-rank-tol", "cc-tol", "solve-step-tol"],
+    ids=["solve-step-tol"],
 )
 def test_nan_tolerance_exit_one(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
-    write_points(tmp_path / "tri.json", [[0, 0], [1, 0], [0, 1]])
     gen_problem(tmp_path)
     capsys.readouterr()
     assert main(argv) == 1

@@ -408,6 +408,26 @@ def test_problem_roundtrip_values(tmp_path):
         assert np.abs(proj - sa.onb.T).max() <= 1e-10
 
 
+def test_problem_roundtrip_without_seed_or_description(tmp_path):
+    # The default call writes neither optional key. The file holds every
+    # vector bit for bit; load re-orthonormalizes each basis, which moves
+    # its entries by an ulp or so, and gives z, the bases and the
+    # solution back bit for bit.
+    prob = generate_two_subspace(8, 3, 2, 0.7, seed=21)
+    path = tmp_path / "p.json"
+    save_problem(str(path), prob)
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["dim", "subspaces", "z"]
+    for sub, orig in zip(doc["subspaces"], prob.subspaces):
+        assert np.array(sub["span"]).tobytes() == orig.onb.tobytes()
+    back = load_problem(str(path))
+    assert back.z.tobytes() == prob.z.tobytes()
+    assert back.solution.tobytes() == prob.solution.tobytes()
+    for sa, sb in zip(back.subspaces, prob.subspaces):
+        assert sa.base.tobytes() == sb.base.tobytes()
+        assert np.abs(sa.onb - sb.onb).max() <= 4 * np.finfo(float).eps
+
+
 def test_files_put_each_vector_on_one_line(tmp_path):
     prob = generate_two_subspace(9, 3, 4, 0.5, seed=3)
     path = tmp_path / "p.json"

@@ -44,7 +44,6 @@ import numpy as np
 
 from circumlib import (
     AffineSubspace,
-    CircumConfig,
     Initializer,
     Method,
     Problem,
@@ -55,6 +54,7 @@ from circumlib import (
     generate_two_subspace,
     run,
 )
+from circumlib.linalg import DEFAULT_RANK_TOL
 
 TRACE_CFS = (0.5, 0.8, 0.95)
 TRACE_SEEDS = (1, 2, 3, 4)
@@ -136,7 +136,7 @@ def point_sets(rng: Xorshift64Star):
     for sin in CC_SINES:
         yield np.array([x, x + a, x + 3.0 * (np.sqrt(1.0 - sin**2) * a_hat + sin * w_hat)])
     for f in CC_NEAR:
-        yield np.array([x, x + f * CircumConfig.rank_tol * np.linalg.norm(a) * w_hat, x + a])
+        yield np.array([x, x + f * DEFAULT_RANK_TOL * np.linalg.norm(a) * w_hat, x + a])
     for m in CC_SIZES:
         yield np.array([rng.normal_vector(CC_DIM) for _ in range(m)])
 
