@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,12 @@ def test_cc_output_roundtrips_to_bits(tmp_path, capsys):
     radius = float(out[1].split()[1])
     assert center == list(expected.center)
     assert radius == expected.radius
+    # Squared lengths beyond float range: the center (1e200, 1e200) keeps
+    # its bits, and 17 digits print them.
+    write_points(path, [[0, 0], [2e200, 0], [0, 2e200]])
+    assert main(["cc", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "center 9.9999999999999997e+199 9.9999999999999997e+199"
 
 
 def test_cc_collinear_empty(tmp_path, capsys):
@@ -195,13 +202,16 @@ def test_boolean_dim_exit_one(tmp_path, capsys):
 
 
 def test_gen_deterministic_and_valid(tmp_path, capsys):
-    a = gen_problem(tmp_path, "a.json", seed=7)
-    b = gen_problem(tmp_path, "b.json", seed=7)
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-    # generated file passes validation end to end
-    assert main(["solve", str(a), "--method", "map", "--max-iter", "5"]) == 0
-    capsys.readouterr()
+    # An odd n reads a whole Box-Muller pair at the end of each frame row
+    # and of z.
+    for n, dims, seed in ((8, "3,3", 7), (21, "4,5", 3)):
+        a = gen_problem(tmp_path, "a.json", n=n, dims=dims, seed=seed)
+        b = gen_problem(tmp_path, "b.json", n=n, dims=dims, seed=seed)
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        # generated file passes validation end to end
+        assert main(["solve", str(a), "--method", "map", "--max-iter", "5"]) == 0
+        capsys.readouterr()
 
 
 def test_gen_reports_path(tmp_path, capsys):
@@ -259,20 +269,22 @@ def test_solve_rate_na_on_finite_convergence(tmp_path, capsys):
 
 
 def test_solve_csv_schema(tmp_path, capsys):
+    # One row per iteration plus the start, every number finite.
     path = gen_problem(tmp_path)
     out_csv = tmp_path / "trace.csv"
-    assert main(["solve", str(path), "--method", "cdrm", "--csv", str(out_csv)]) == 0
-    capsys.readouterr()
-    with open(out_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == CSV_COLUMNS
-    body = rows[1:]
-    assert len(body) >= 2
-    assert [r[0] for r in body] == [str(k) for k in range(len(body))]
-    assert body[0][1] == "0.0"
-    for r in body:
-        float(r[1]), float(r[2]), float(r[3])
-        assert r[4] == "cdrm"
+    for method in ("cdrm", "map"):
+        assert main(["solve", str(path), "--method", method, "--csv", str(out_csv)]) == 0
+        fields = summary_dict(capsys.readouterr().out)
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_COLUMNS
+        body = rows[1:]
+        assert len(body) == int(fields["iterations"]) + 1 >= 2
+        assert [r[0] for r in body] == [str(k) for k in range(len(body))]
+        assert body[0][1] == "0.0"
+        for r in body:
+            assert all(math.isfinite(float(c)) for c in r[1:4])
+            assert r[4] == method
 
 
 def test_solve_csv_rerun_identical(tmp_path, capsys):
@@ -314,10 +326,22 @@ def test_solve_no_intersection_exit_one(tmp_path, capsys):
 
 
 def test_solve_degenerate_run_exit_zero(tmp_path, capsys):
+    # From z = (1e300, 1e300) only the reflection points' squared
+    # distances overflow: cdrm and crm take them at working scale and
+    # reach the solution, the origin, exactly, with no numpy warning.
+    path = tmp_path / "far.json"
+    write_two_lines(path, z=(1e300, 1e300))
+    for method in ("cdrm", "crm"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(path), "--method", method]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fields = summary_dict(captured.out)
+        assert (fields["reason"], fields["final_dist"]) == ("step_tol", "0")
     # From z = (1e308, 1e308) the first reflection overflows, so the
     # circumcenter of the reflection points is Empty: the run ends with a
     # reason, and the CSV holds the start row.
-    path = tmp_path / "far.json"
     write_two_lines(path, z=(1e308, 1e308))
     out_csv = tmp_path / "trace.csv"
     assert main(["solve", str(path), "--method", "cdrm", "--csv", str(out_csv)]) == 0
@@ -400,6 +424,29 @@ def test_bench_reports_every_method_past_an_overflow(tmp_path, capsys):
     assert rows[0] == CSV_COLUMNS
     assert [r[4] for r in rows[1:4]] == ["cdrm", "crm", "dr"]
     assert {r[4] for r in rows[4:]} == {"map"}
+    # From z = (-5e307, 3), z - base overflows in the projection onto the
+    # x-axis through (1.5e308, 0). It is taken again at working scale, so
+    # each method reaches the solution (0, 0) exactly in one step and
+    # stops on the next, with a finite residual in every row.
+    doc = {
+        "dim": 2,
+        "subspaces": [
+            {"base": [1.5e308, 0], "span": [[1, 0]]},
+            {"base": [0, 0], "span": [[0, 1]]},
+        ],
+        "z": [-5e307, 3],
+    }
+    path.write_text(json.dumps(doc) + "\n")
+    methods = ["cdrm", "crm", "map"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", str(path), "--init", "z", "--methods", ",".join(methods)]) == 0
+    captured = capsys.readouterr()
+    assert [line.partition(", rate")[0] for line in captured.err.splitlines()] == [
+        f"{m}: 2 iterations (step_tol), final_dist 0" for m in methods
+    ]
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert all(math.isfinite(float(r["residual"])) for r in rows)
 
 
 def test_bench_subset_to_stdout(tmp_path, capsys):
@@ -547,6 +594,15 @@ def test_solve_stderr_is_empty(tmp_path, capsys):
     assert res.returncode == 0
     assert res.stderr == ""
     assert summary_dict(res.stdout)["method"] == "cdrm"
+    # A failed request exits 1 with one error line and nothing on stdout.
+    res = subprocess.run(
+        [sys.executable, "-m", "circumlib.cli", "cc", str(tmp_path / "missing.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (res.returncode, res.stdout) == (1, "")
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 # cold start

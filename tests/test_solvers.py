@@ -408,9 +408,9 @@ def test_run_overflowing_step_is_degenerate_not_converged():
 def test_run_is_covariant_under_power_of_two_scaling(k, cf):
     # Every set's base and z scaled by 2^k: the circumcentered step takes
     # its rows at their working scale, so a run far out or near 0 takes
-    # the same steps, each 2^k times the unscaled one, bit for bit. A
-    # step_tol below every step norm lets the run go on to max_iter or an
-    # exact fixed point.
+    # the same steps, each 2^k times the unscaled one, bit for bit, and so
+    # is every step norm, dist and residual. A step_tol below every step
+    # norm lets the run go on to max_iter or an exact fixed point.
     cfg = SolverConfig(max_iter=40, step_tol=5e-324)
     for seed in (1, 2):
         prob = generate_two_subspace(40, 10, 10, cf, seed)
@@ -421,6 +421,8 @@ def test_run_is_covariant_under_power_of_two_scaling(k, cf):
             assert (got.reason, got.num_steps) == (ref.reason, ref.num_steps)
             for a, b in zip(ref.iterates, got.iterates, strict=True):
                 assert np.array_equal(b, np.ldexp(a, k))
+            for name in ("step_norms", "dists", "residuals"):
+                assert np.array_equal(getattr(got, name), np.ldexp(getattr(ref, name), k))
 
 
 def assert_finite_trace(trace):
