@@ -349,17 +349,6 @@ def circumradius(points) -> float:
     return circumcenter(points).radius
 
 
-def cross3(u, v) -> np.ndarray:
-    """Cross product in R^3."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape[0] != 3 or v.shape[0] != 3:
-        raise NotThreeDimensional(
-            f"cross product needs length-3 vectors, got {u.shape[0]} and {v.shape[0]}"
-        )
-    return np.cross(u, v)
-
-
 def _cross3_frame(x, y, z):
     """x, a = 2^-e (y - x), b = 2^-e (z - x), a x b, |a x b| and e: the
     differences of the points at their working scale, at unit scale."""
@@ -372,7 +361,7 @@ def _cross3_frame(x, y, z):
     D = S[1:] - S[0]
     e = _exponent(D)
     a, b = np.ldexp(D, -e)
-    k = cross3(a, b)
+    k = np.cross(a, b)
     nk = float(np.linalg.norm(k))
     if nk <= DEFAULT_RANK_TOL * float(np.linalg.norm(a)) * float(np.linalg.norm(b)):
         raise NotAffinelyIndependent("cross product of the differences is (near) zero")
@@ -387,7 +376,7 @@ def circumcenter_cross3(x, y, z) -> np.ndarray:
     """
     x, a, b, k, nk, e = _cross3_frame(x, y, z)
     w = float(a @ a) * b - float(b @ b) * a
-    return x + np.ldexp(cross3(w, k) / (2.0 * nk * nk), e)
+    return x + np.ldexp(np.cross(w, k) / (2.0 * nk * nk), e)
 
 
 def circumradius_cross3(x, y, z) -> float:

@@ -1,9 +1,10 @@
 """Problem generation and JSON file formats.
 
 Random instances come from an explicitly specified xorshift64* stream,
-so the raw random words behind a seed are identical on every platform;
-nothing here depends on numpy's generator state. The generator keeps
-no state but its position in the stream: a draw of k normals reads the
+whose raw words (Xorshift64Star._words) behind a seed are identical on
+every platform; nothing here depends on numpy's generator state. The
+generator's two draws are normal_vector and orthogonal. It keeps no
+state but its position in the stream: a draw of k normals reads the
 next 2 * ceil(k / 2) words, one Box-Muller pair per two words, and an
 odd k drops its last sin. Each row of a random n x n frame is one such
 draw, so every row starts on a pair; a frame of k columns reads every
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -102,9 +104,8 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
 class Xorshift64Star:
     """Deterministic 64-bit xorshift* generator.
 
-    next_u64: x ^= x >> 12; x ^= x << 25; x ^= x >> 27 (all mod 2^64),
-    output (x * 0x2545F4914F6CDD1D) mod 2^64. uniform() maps the top 53
-    bits to [0, 1).
+    Each step of the state is x ^= x >> 12; x ^= x << 25; x ^= x >> 27
+    (all mod 2^64), and _words outputs (x * 0x2545F4914F6CDD1D) mod 2^64.
 
     The generator keeps no state but its position in the stream, so a
     draw depends only on where it starts. A draw of k normals reads the
@@ -116,17 +117,11 @@ class Xorshift64Star:
     """
 
     def __init__(self, seed: int):
-        s = (int(seed) + _SPLITMIX_GAMMA) & _MASK64
+        s = (operator.index(seed) + _SPLITMIX_GAMMA) & _MASK64
         s = ((s ^ (s >> 30)) * _SPLITMIX_MULT1) & _MASK64
         s = ((s ^ (s >> 27)) * _SPLITMIX_MULT2) & _MASK64
         s ^= s >> 31
         self._state = s if s != 0 else _SPLITMIX_GAMMA
-
-    def next_u64(self) -> int:
-        return int(self._words(1)[0])
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def _words(self, k: int) -> np.ndarray:
         """The next k output words of the stream as a uint64 array, in order."""
@@ -148,15 +143,12 @@ class Xorshift64Star:
         self._state = int(states[-1])
         return states * np.uint64(_XORSHIFT_MULT)
 
-    def _normals(self, k: int) -> np.ndarray:
-        """The next k normals, from the next 2 * ceil(k / 2) words."""
-        return _box_muller(self._words(k + k % 2))[:k]
-
-    def normal(self) -> float:
-        return float(self._normals(1)[0])
-
     def normal_vector(self, n: int) -> np.ndarray:
-        return self._normals(n)
+        """The next n normals, from the next 2 * ceil(n / 2) words."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"cannot draw {n} normals")
+        return _box_muller(self._words(n + n % 2))[:n]
 
     def orthogonal(self, n: int, k: int | None = None) -> np.ndarray:
         """The first k columns (all n when k is None) of a random n x n
@@ -170,7 +162,8 @@ class Xorshift64Star:
         full QR's Q (Mezzadri, Notices AMS 2007) up to rounding; k = n
         gives the full QR's bits.
         """
-        k = n if k is None else k
+        n = operator.index(n)
+        k = n if k is None else operator.index(k)
         if not 0 <= k <= n:
             raise ValueError(f"cannot take {k} columns of an {n} x {n} matrix")
         words = self._words(n * (n + n % 2)).reshape(n, n + n % 2)

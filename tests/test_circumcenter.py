@@ -17,7 +17,6 @@ from circumlib.circumcenter import (
     circumradius,
     circumradius_cross3,
     cramer_coefficients,
-    cross3,
     dedup,
     verify_equidistant,
 )
@@ -880,29 +879,12 @@ def test_three_point_agrees_with_general_path():
 # --- cross-product route ----------------------------------------------------
 
 
-def test_cross3_examples():
-    assert np.array_equal(cross3([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert np.array_equal(cross3([2, -1, 3], [2, -1, 3]), [0, 0, 0])
-    assert np.array_equal(cross3([1, 2, 3], [4, 5, 6]), [-3, 6, -3])
-
-
-def test_cross3_orthogonality_and_lagrange():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        a, b = rng.normal(size=(2, 3))
-        k = cross3(a, b)
-        assert abs(k @ a) <= 1e-12 * np.linalg.norm(k) * np.linalg.norm(a) + 1e-300
-        assert abs(k @ b) <= 1e-12 * np.linalg.norm(k) * np.linalg.norm(b) + 1e-300
-        lhs = k @ k
-        rhs = (a @ a) * (b @ b) - (a @ b) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-250)
-
-
 def test_cross3_requires_three_dims():
-    with pytest.raises(NotThreeDimensional):
-        cross3([1, 0], [0, 1])
-    with pytest.raises(NotThreeDimensional):
-        circumcenter_cross3([0, 0], [1, 0], [0, 1])
+    for route in (circumcenter_cross3, circumradius_cross3):
+        with pytest.raises(NotThreeDimensional, match=r"R\^2"):
+            route([0, 0], [1, 0], [0, 1])
+        with pytest.raises(NotThreeDimensional, match=r"R\^4"):
+            route([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
 
 
 def test_cross3_circumcenter_examples():
@@ -932,7 +914,7 @@ def test_cross3_agrees_with_gram_route():
         assert r == pytest.approx(circumradius(pts), rel=1e-8)
         # radius as half the opposite side over the sine of the angle at x
         a, b = pts[1] - pts[0], pts[2] - pts[0]
-        sin_theta = np.linalg.norm(cross3(a, b)) / (
+        sin_theta = np.linalg.norm(np.cross(a, b)) / (
             np.linalg.norm(a) * np.linalg.norm(b)
         )
         assert r == pytest.approx(

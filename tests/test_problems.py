@@ -83,12 +83,13 @@ def test_seed_scramble_known_values():
 def test_stream_matches_reference():
     for seed in (0, 1, 42, 2**63, 123456789):
         g = Xorshift64Star(seed)
-        assert [g.next_u64() for _ in range(100)] == ref_stream(seed, 100)
+        words = np.concatenate([g._words(1) for _ in range(100)])
+        assert words.tolist() == ref_stream(seed, 100)
 
 
 def test_stream_frozen_values():
     g = Xorshift64Star(0)
-    assert [g.next_u64() for _ in range(4)] == [
+    assert g._words(4).tolist() == [
         0x7BBCB40D550682D0,
         0xDE7FE413D00CC9FD,
         0xB3C638353C668C91,
@@ -97,32 +98,26 @@ def test_stream_frozen_values():
 
 
 def test_determinism_and_seed_sensitivity():
-    a = [Xorshift64Star(5).next_u64() for _ in range(10)]
-    b = [Xorshift64Star(5).next_u64() for _ in range(10)]
-    c = [Xorshift64Star(6).next_u64() for _ in range(10)]
+    a = Xorshift64Star(5)._words(10).tolist()
+    b = Xorshift64Star(5)._words(10).tolist()
+    c = Xorshift64Star(6)._words(10).tolist()
     assert a == b
     assert a != c
-
-
-def test_uniform_range_and_bits():
-    g = Xorshift64Star(42)
-    h = Xorshift64Star(42)
-    for _ in range(1000):
-        u = g.uniform()
-        assert 0.0 <= u < 1.0
-        assert u == (h.next_u64() >> 11) * 2.0**-53
-
-
-def test_uniform_mean():
-    g = Xorshift64Star(8)
-    mean = np.mean([g.uniform() for _ in range(4000)])
-    assert abs(mean - 0.5) <= 0.03
+    # numpy integers are integers
+    assert Xorshift64Star(np.int64(5))._words(10).tolist() == a
+    assert np.array_equal(
+        Xorshift64Star(5).normal_vector(np.int64(3)), Xorshift64Star(5).normal_vector(3)
+    )
+    assert np.array_equal(
+        Xorshift64Star(5).orthogonal(np.int64(4), np.uint8(2)),
+        Xorshift64Star(5).orthogonal(4, 2),
+    )
 
 
 def test_normal_frozen_values():
-    # each normal() is the cos of its own pair
+    # each normal_vector(1) is the cos of its own pair
     g = Xorshift64Star(7)
-    got = [g.normal() for _ in range(4)]
+    got = np.concatenate([g.normal_vector(1) for _ in range(4)]).tolist()
     want = [
         -0.021430159234816677,
         -0.8828865059932086,
@@ -135,15 +130,14 @@ def test_normal_frozen_values():
 
 def test_normal_pairs_consume_two_words():
     g = Xorshift64Star(9)
-    g.normal()
-    g.normal()
-    rest = g.next_u64()
-    assert rest == ref_stream(9, 5)[4]
+    g.normal_vector(1)
+    g.normal_vector(1)
+    assert g._words(1).tolist() == [ref_stream(9, 5)[4]]
 
 
 def test_normal_moments():
     g = Xorshift64Star(10)
-    xs = np.array([g.normal() for _ in range(4000)])
+    xs = np.concatenate([g.normal_vector(1) for _ in range(4000)])
     assert abs(xs.mean()) <= 0.06
     assert 0.95 <= xs.std() <= 1.05
 
@@ -157,8 +151,8 @@ def test_batch_words_match_reference():
             words = g._words(k)
             assert words.dtype == np.uint64
             assert words.tolist() == ref[:k]
-            # the scalar stream continues where the batch stopped
-            assert g.next_u64() == ref[k]
+            # the stream continues where the batch stopped
+            assert g._words(1).tolist() == [ref[k]]
 
 
 def test_normal_vector_matches_reference():
@@ -172,10 +166,10 @@ def test_normal_vector_matches_reference():
             v = g.normal_vector(k)
             assert v.shape == (k,) and v.dtype == np.float64
             got.append(v.tolist())
-        got.append([g.normal()])
+        got.append(g.normal_vector(1).tolist())
         assert got == ref_draws(seed, [*sizes, 1])
         words = sum(k + k % 2 for k in sizes) + 2
-        assert g.next_u64() == ref_stream(seed, words + 1)[words]
+        assert g._words(1).tolist() == [ref_stream(seed, words + 1)[words]]
 
 
 def test_orthogonal_matches_reference():
@@ -196,7 +190,7 @@ def test_orthogonal_columns_match_the_full_frame():
             Q = part.orthogonal(n, k)
             assert Q.shape == (n, k)
             assert np.abs(Q - full.orthogonal(n)[:, :k]).max(initial=0.0) <= 1e-14
-            assert part.next_u64() == full.next_u64()
+            assert part._words(1).tolist() == full._words(1).tolist()
     with pytest.raises(ValueError):
         Xorshift64Star(1).orthogonal(3, 4)
 
@@ -210,6 +204,39 @@ def test_orthogonal_matrix():
     a = Xorshift64Star(12).orthogonal(6)
     b = Xorshift64Star(12).orthogonal(6)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "draw, error, match",
+    [
+        pytest.param(lambda: Xorshift64Star(1.5), TypeError, "float", id="seed"),
+        pytest.param(
+            lambda: generate_two_subspace(4, 1, 1, 0.5, 1.5), TypeError, "float", id="generate-seed"
+        ),
+        pytest.param(
+            lambda: Xorshift64Star(1).normal_vector(2.0), TypeError, "float", id="normal_vector"
+        ),
+        pytest.param(lambda: Xorshift64Star(1).orthogonal(2.5), TypeError, "float", id="orthogonal"),
+        pytest.param(
+            lambda: Xorshift64Star(1).orthogonal(3, 2.0), TypeError, "float", id="orthogonal-k"
+        ),
+        pytest.param(
+            lambda: Xorshift64Star(1).normal_vector(-1), ValueError, "-1 normals", id="normal_vector--1"
+        ),
+        pytest.param(
+            lambda: Xorshift64Star(1).normal_vector(-2), ValueError, "-2 normals", id="normal_vector--2"
+        ),
+        pytest.param(
+            lambda: Xorshift64Star(1).orthogonal(-1), ValueError, "-1 x -1", id="orthogonal--1"
+        ),
+        pytest.param(
+            lambda: Xorshift64Star(1).orthogonal(3, -1), ValueError, "-1 columns", id="orthogonal-k--1"
+        ),
+    ],
+)
+def test_sizes_and_seeds_must_be_integers(draw, error, match):
+    with pytest.raises(error, match=match):
+        draw()
 
 
 # problem generation
